@@ -72,23 +72,36 @@ def slip_coefficient(kern: KernelSuite, e_prev: SpectralDensity, quad: Quadratur
     return -integrate_halfline(lambda k: kern.t_n(1, k) * e_prev(k), quad) / SQRT_PI
 
 
+# k-values per row-valued integral of an operator application
+_ROW_BLOCK = 64
+
+
+def _apply_operator(
+    kern: KernelSuite, kernel, sign: float, e_prev: SpectralDensity, quad: QuadratureSpec
+) -> SpectralDensity:
+    """E_n(k) = sign/(pi T_2(k)) int_0^oo S(k,k1) E_{n-1}(k1) dk1 at k = 0 and
+    at every grid node, with S the kernel method ``kernel`` of ``kern``.
+
+    The k-values go in blocks of at most _ROW_BLOCK rows, one row-valued
+    ``integrate_halfline`` call per block, so every row of a block shares
+    the k1 points, the density values and the k1 factors of the kernel.
+    Each row keeps the scalar rule: its own node-doubling acceptance and its
+    own tail.  Row 0 is k = 0, where the S form is regular and
+    T_2(0) = 1/2, so it gives the value at zero without extrapolation.
+    """
+    k = np.concatenate(([0.0], e_prev.grid.nodes))
+    integrals = []
+    for rows in np.array_split(k[:, None], -(-k.size // _ROW_BLOCK)):
+        integrals.append(integrate_halfline(lambda k1: kernel(rows, k1) * e_prev(k1), quad))
+    values = sign * np.concatenate(integrals) / (math.pi * kern.t_n(2, k))
+    return e_prev.map(values[1:], values[0])
+
+
 def apply_operator_fwd(
     kern: KernelSuite, e_prev: SpectralDensity, quad: QuadratureSpec
 ) -> SpectralDensity:
     """One forward step: E_n(k) = -(1/(pi T_2(k))) int_0^oo S(k,k1) E_{n-1}(k1) dk1."""
-    nodes = e_prev.grid.nodes
-    values = np.array(
-        [
-            -integrate_halfline(lambda k1: kern.s_fwd(k, k1) * e_prev(k1), quad)
-            / (math.pi * kern.t_n(2, k))
-            for k in nodes
-        ]
-    )
-    # T_2(0) = 1/2; the S form is regular at k = 0, no extrapolation needed
-    value_at_zero = -integrate_halfline(
-        lambda k1: kern.s_fwd(0.0, k1) * e_prev(k1), quad
-    ) * (2.0 / math.pi)
-    return e_prev.map(values, value_at_zero)
+    return _apply_operator(kern, kern.s_fwd, -1.0, e_prev, quad)
 
 
 def build_series_fwd(

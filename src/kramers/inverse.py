@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
-from .forward import default_density_quad
+from .forward import _apply_operator, default_density_quad
 from .kernels import SQRT_PI, KernelSuite
 from .quadrature import QuadratureSpec, integrate_halfline
 from .spectral import SeriesExpansion, SpectralDensity, SpectralGrid
@@ -48,18 +46,7 @@ def apply_operator_inv(
     kern: KernelSuite, e_prev: SpectralDensity, quad: QuadratureSpec
 ) -> SpectralDensity:
     """One inverse step: E_n(k) = +(1/(pi T_2(k))) int_0^oo S(k,k1) E_{n-1}(k1) dk1."""
-    nodes = e_prev.grid.nodes
-    values = np.array(
-        [
-            integrate_halfline(lambda k1: kern.s_inv(k, k1) * e_prev(k1), quad)
-            / (math.pi * kern.t_n(2, k))
-            for k in nodes
-        ]
-    )
-    value_at_zero = integrate_halfline(
-        lambda k1: kern.s_inv(0.0, k1) * e_prev(k1), quad
-    ) * (2.0 / math.pi)
-    return e_prev.map(values, value_at_zero)
+    return _apply_operator(kern, kern.s_inv, 1.0, e_prev, quad)
 
 
 def build_series_inv(

@@ -57,18 +57,14 @@ class KernelSuite:
     spec : QuadratureSpec, optional
         Rule controlling the t-integration.  The default resolves all
         kernels to near machine precision for k up to a few hundred.
-    cache : bool
-        Memoize scalar T_n evaluations.  Cached values are the stored
-        results of the identical computation, so they are exact replays.
     """
 
-    def __init__(self, spec: QuadratureSpec | None = None, cache: bool = True):
+    def __init__(self, spec: QuadratureSpec | None = None):
         self.spec = spec or _DEFAULT_SPEC
         t, w = gauss_weighted_nodes(self.spec)
         self._t2 = t * t
         # weights premultiplied by t^n for each supported moment
         self._wt = {n: w * t**n for n in _ORDERS}
-        self._cache: dict | None = {} if cache else None
 
     # -- moment integrals --------------------------------------------------
 
@@ -76,21 +72,10 @@ class KernelSuite:
         """T_n(k); strictly positive and strictly decreasing in k."""
         if n not in _ORDERS:
             raise UnsupportedOrder(f"T_n supports n in {_ORDERS}, got {n}")
-        scalar = np.isscalar(k) or np.ndim(k) == 0
-        if scalar and self._cache is not None:
-            key = (n, float(k))
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
         karr = np.asarray(k, dtype=float)
         denom = 1.0 + np.multiply.outer(karr * karr, self._t2)
         res = (2.0 / SQRT_PI) * (self._wt[n] / denom).sum(axis=-1)
-        if scalar:
-            val = float(res)
-            if self._cache is not None:
-                self._cache[(n, float(k))] = val
-            return val
-        return res
+        return float(res) if np.ndim(k) == 0 else res
 
     def big_l(self, k):
         """Dispersion function L(k) = k^2 T_2(k)."""
@@ -99,13 +84,19 @@ class KernelSuite:
         return float(res) if np.ndim(k) == 0 else res
 
     def _double_pole_moment(self, n: int, k, k1):
+        """(2/sqrt(pi)) sum_t w_t t^n A(k, t) A(k1, t), A(k, t) = 1/(1 + k^2 t^2).
+
+        k and k1 broadcast against each other.  The two pole factors are
+        contracted over the t-rule by einsum, which never forms their
+        broadcast product: for the outer shape ``(k[:, None], k1)`` of a
+        row-valued operator integrand the largest temporary is the
+        ``(k1.size, N_t)`` factor, not a ``(rows, k1.size, N_t)`` array.
+        """
         karr = np.asarray(k, dtype=float)
         k1arr = np.asarray(k1, dtype=float)
-        shape = np.broadcast_shapes(karr.shape, k1arr.shape)
-        ka = np.broadcast_to(karr, shape)[..., None]
-        kb = np.broadcast_to(k1arr, shape)[..., None]
-        denom = (1.0 + ka * ka * self._t2) * (1.0 + kb * kb * self._t2)
-        res = (2.0 / SQRT_PI) * (self._wt[n] / denom).sum(axis=-1)
+        pole_k = self._wt[n] / (1.0 + np.multiply.outer(karr * karr, self._t2))
+        pole_k1 = 1.0 / (1.0 + np.multiply.outer(k1arr * k1arr, self._t2))
+        res = (2.0 / SQRT_PI) * np.einsum("...t,...t->...", pole_k, pole_k1)
         if np.ndim(k) == 0 and np.ndim(k1) == 0:
             return float(res)
         return res

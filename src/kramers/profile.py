@@ -122,7 +122,7 @@ def full_profile(
     x_nodes = np.asarray(x_nodes, dtype=float)
     g_v, q = config.gradient, config.q
     v_sl = slip_velocity(series, q, g_v)
-    quad = default_density_quad(densities[0].grid.k_max)
+    quad = config.quad or default_density_quad(densities[0].grid.k_max)
     correction = np.array(
         [velocity_correction(densities, q, g_v, x, quad) for x in x_nodes]
     )
@@ -157,7 +157,7 @@ def wall_velocity(
     v_sl = g_v * EXACT_SLIP_DIFFUSE if use_exact_slip else slip_velocity(series, q, g_v)
     if use_exact_slip and q != 1.0:
         raise ValueError("the exact slip benchmark only exists for q = 1")
-    return v_sl + velocity_correction(densities, q, g_v, 0.0)
+    return v_sl + velocity_correction(densities, q, g_v, 0.0, config.quad)
 
 
 def combined_density(densities: list[SpectralDensity], q: float, g_v: float):

@@ -11,6 +11,11 @@ The engine is composite Gauss-Legendre on a split interval with node-doubling
 error control plus an algebraic power-law tail estimate; oscillatory
 transforms switch to half-period panels with repeated averaging of the
 alternating partial sums.
+
+A half-line integrand may also return a stack of rows, one integrand per row
+evaluated at the same points; each row then gets its own integral under the
+scalar rule.  The iteration operator uses this to integrate a whole block of
+k-values with one set of k1 evaluations.
 """
 from __future__ import annotations
 
@@ -104,8 +109,13 @@ class QuadratureSpec:
             split_points=self.split_points,
         )
 
-    def _tol(self, value: float) -> float:
-        return max(self.abs_tol, self.rel_tol * abs(value))
+    def _tol(self, value):
+        """Acceptance threshold for ``value``; elementwise for an array."""
+        scaled = self.rel_tol * abs(value)
+        if isinstance(scaled, np.ndarray):
+            return np.maximum(self.abs_tol, scaled)
+        # builtin max for a scalar: the oscillatory sweep calls this per panel
+        return max(self.abs_tol, scaled)
 
 
 @lru_cache(maxsize=256)
@@ -121,15 +131,30 @@ def _panel_rule(edges: tuple[float, ...], n: int):
 
 
 def _eval(f, x: np.ndarray) -> np.ndarray:
+    """Integrand values at the points ``x``: shape ``x.shape``, or
+    ``(rows, x.size)`` for a row-valued integrand."""
     vals = np.asarray(f(x), dtype=float)
-    if vals.shape != x.shape:
+    if vals.shape != x.shape and (vals.ndim != 2 or vals.shape[1:] != x.shape):
         vals = np.broadcast_to(vals, x.shape)
     if not np.all(np.isfinite(vals)):
         raise NonFiniteIntegrand("integrand returned a non-finite value")
     return vals
 
 
-def _refine(f, edges: tuple[float, ...], spec: QuadratureSpec, weighted: bool) -> float:
+def _scalar_or_rows(value: np.ndarray) -> float | np.ndarray:
+    return float(value) if np.ndim(value) == 0 else value
+
+
+def _refine(
+    f, edges: tuple[float, ...], spec: QuadratureSpec, weighted: bool
+) -> float | np.ndarray:
+    """Panel rule on ``edges`` with node doubling until the change between
+    two rounds is within ``spec._tol``.
+
+    A row-valued integrand gets one value per row: each row is accepted at
+    its own first converged doubling and keeps that value while the other
+    rows go on refining.
+    """
     n = spec.node_count
     prev = None
     for _ in range(_MAX_ROUNDS):
@@ -137,9 +162,16 @@ def _refine(f, edges: tuple[float, ...], spec: QuadratureSpec, weighted: bool) -
         vals = _eval(f, x)
         if weighted:
             vals = vals * np.exp(-x * x)
-        cur = float(w @ vals)
-        if prev is not None and abs(cur - prev) <= spec._tol(cur):
-            return cur
+        # a per-row reduction, so a row sums exactly as it would alone
+        cur = (vals * w).sum(axis=-1)
+        if prev is None:
+            # NaN marks a row not yet accepted; _eval has rejected NaN values
+            result = np.full(cur.shape, np.nan)
+        else:
+            accept = np.isnan(result) & (np.abs(cur - prev) <= spec._tol(cur))
+            result = np.where(accept, cur, result)
+            if not np.isnan(result).any():
+                return _scalar_or_rows(result)
         prev = cur
         n *= 2
     raise ToleranceNotMet(
@@ -168,34 +200,43 @@ def integrate_gauss_weighted(f, spec: QuadratureSpec) -> float:
     return _refine(f, _weighted_edges(spec), spec, weighted=True)
 
 
-def _tail_estimate(g, a: float, b: float, spec: QuadratureSpec) -> float:
+def _tail_estimate(g, a: float, b: float, spec: QuadratureSpec) -> float | np.ndarray:
     """Closed-form tail ``int_b^oo c k^-p dk`` from a two-point power fit
-    on [a, b].
+    on [a, b], one per row of a row-valued integrand.
 
     A sign change or an already-negligible magnitude yields a zero tail;
     decay slower than 1/k raises TailDivergence.
     """
-    ga, gb = (float(v) for v in _eval(g, np.array([a, b])))
-    if abs(gb) <= spec.abs_tol:
-        return 0.0
-    if ga == 0.0 or (ga > 0) != (gb > 0):
-        # no clean power law to fit; the last-panel magnitude bounds the tail
-        return 0.0
-    p = math.log(abs(ga) / abs(gb)) / math.log(b / a)
-    if p <= 1.0:
-        raise TailDivergence(
-            f"decay exponent {-p:.3f} >= -1 measured on [{a}, {b}]"
-        )
-    return gb * b / (p - 1.0)
+    vals = _eval(g, np.array([a, b]))
+    ga, gb = vals[..., 0], vals[..., 1]
+    # no clean power law to fit on a sign change; the last-panel magnitude
+    # bounds the tail
+    fit = (np.abs(gb) > spec.abs_tol) & (ga != 0.0) & ((ga > 0) == (gb > 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = np.log(np.abs(ga) / np.abs(gb)) / math.log(b / a)
+        slow = fit & (p <= 1.0)
+        if np.any(slow):
+            raise TailDivergence(
+                f"decay exponent {-np.min(p[slow]):.3f} >= -1 measured on [{a}, {b}]"
+            )
+        tail = np.where(fit, gb * b / (p - 1.0), 0.0)
+    return _scalar_or_rows(tail)
 
 
-def integrate_halfline(g, spec: QuadratureSpec) -> float:
+def integrate_halfline(g, spec: QuadratureSpec) -> float | np.ndarray:
     """``int_0^oo g(k) dk`` for continuous g with O(k^-2) decay.
 
     Panels continue geometrically for two decades past the last split point
     before the power-law fit takes over; extrapolating from the split point
     itself is accurate only to ~|g| * split/k^2 and would dominate the error
     budget.
+
+    ``g`` maps an array of n points to n values, and the result is a float.
+    It may instead return a ``(rows, n)`` array: then the result is an array
+    of ``rows`` integrals that share every evaluation of ``g``.  Each row
+    follows the scalar rule on its own, with its own node-doubling
+    acceptance and its own tail; ``NonFiniteIntegrand``, ``TailDivergence``
+    and ``ToleranceNotMet`` are raised when any row trips them.
     """
     last = spec.split_points[-1]
     extension = (4.0 * last, 16.0 * last, 64.0 * last)

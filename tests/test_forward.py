@@ -89,6 +89,21 @@ class TestOperator:
             ) / math.pi
             assert raw / kern.big_l(k) == pytest.approx(e1(k), abs=1e-7)
 
+    def test_batched_matches_per_node(self, kern, grid, forward3):
+        """The row-valued apply equals one scalar integral per k-value."""
+        quad = default_density_quad(grid.k_max)
+        e0, e1 = forward3[1][0], forward3[1][1]
+        at_zero = -integrate_halfline(lambda k1: kern.s_fwd(0.0, k1) * e0(k1), quad) * (
+            2.0 / math.pi
+        )
+        assert e1.value_at_zero == pytest.approx(at_zero, abs=1e-13)
+        for i in (0, 52, 53, 200, grid.nodes.size - 1):
+            k = grid.nodes[i]
+            node = -integrate_halfline(lambda k1: kern.s_fwd(k, k1) * e0(k1), quad) / (
+                math.pi * kern.t_n(2, k)
+            )
+            assert e1.values[i] == pytest.approx(node, abs=1e-13)
+
     def test_linearity(self, kern, grid, forward3):
         quad = default_density_quad(grid.k_max)
         e0 = forward3[1][0]

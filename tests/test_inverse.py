@@ -1,4 +1,6 @@
 """Inverse problem: recover the gradient from an imposed slip velocity."""
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from kramers.inverse import (
     w_coefficient,
 )
 from kramers.kernels import SQRT_PI
+from kramers.quadrature import integrate_halfline
 from kramers.spectral import SeriesExpansion
 
 
@@ -53,6 +56,21 @@ class TestOperator:
         for e_n in inverse3[1][1:]:
             assert e_n(1e-3) == pytest.approx(e_n(1e-2), rel=0.01)
 
+    def test_batched_matches_per_node(self, kern, grid, inverse3):
+        """The row-valued apply equals one scalar integral per k-value."""
+        quad = default_density_quad(grid.k_max)
+        e0, e1 = inverse3[1][0], inverse3[1][1]
+        at_zero = integrate_halfline(lambda k1: kern.s_inv(0.0, k1) * e0(k1), quad) * (
+            2.0 / math.pi
+        )
+        assert e1.value_at_zero == pytest.approx(at_zero, abs=1e-13)
+        for i in (0, 52, 53, 200, grid.nodes.size - 1):
+            k = grid.nodes[i]
+            node = integrate_halfline(lambda k1: kern.s_inv(k, k1) * e0(k1), quad) / (
+                math.pi * kern.t_n(2, k)
+            )
+            assert e1.values[i] == pytest.approx(node, abs=1e-13)
+
     def test_linearity(self, kern, grid, inverse3):
         quad = default_density_quad(grid.k_max)
         e0 = inverse3[1][0]
@@ -79,6 +97,14 @@ class TestGradient:
     def test_reciprocity_with_forward(self, forward3, inverse3):
         v_sl = slip_velocity(forward3[0], 1.0, 1.0)
         assert gradient(inverse3[0], 1.0, v_sl) == pytest.approx(1.0, abs=1e-2)
+
+    def test_exact_reciprocity(self, forward3, inverse3):
+        """(sum V_n q^n)(sum W_n q^n) = 1 holds order by order:
+        sum_i V_i W_{n-i} = delta_{n0}."""
+        v, w = forward3[0].coefficients, inverse3[0].coefficients
+        for n in range(4):
+            product = sum(v[i] * w[n - i] for i in range(n + 1))
+            assert product == pytest.approx(1.0 if n == 0 else 0.0, abs=1e-11)
 
     def test_wrong_kind_rejected(self, forward3):
         with pytest.raises(ValueError):

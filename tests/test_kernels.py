@@ -149,9 +149,17 @@ class TestIterationKernels:
         vec = kern.s_fwd(1.5, k1)
         for i, v in enumerate(k1):
             assert vec[i] == pytest.approx(kern.s_fwd(1.5, float(v)), abs=1e-14)
-
-    def test_cache_replay_exact(self):
-        cached = KernelSuite(cache=True)
-        plain = KernelSuite(cache=False)
-        for k in (0.7, 0.7, 3.2):
-            assert cached.t_n(2, k) == plain.t_n(2, k)
+        # outer shape of a row-valued operator integrand: rows in k, points in k1
+        k = np.array([0.0, 0.3, 2.0, 40.0])
+        kernels = {
+            "s_fwd": kern.s_fwd,
+            "s_inv": kern.s_inv,
+            "j_3": lambda a, b: kern.j_n(3, a, b),
+            "j_5": lambda a, b: kern.j_n(5, a, b),
+        }
+        for name, fn in kernels.items():
+            outer = fn(k[:, None], k1)
+            assert outer.shape == (k.size, k1.size), name
+            for i, a in enumerate(k):
+                for j, b in enumerate(k1):
+                    assert outer[i, j] == pytest.approx(fn(float(a), float(b)), abs=1e-14), name

@@ -1,5 +1,6 @@
 """Velocity profiles, wall values, and the boundary distribution."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,6 +113,30 @@ class TestWall:
         config = ProblemConfig(q=0.5, gradient=1.0, order=3)
         with pytest.raises(ValueError):
             wall_velocity(config, kern, *forward3, use_exact_slip=True)
+
+
+class TestQuadratureSettings:
+    def test_config_quad_reaches_transform(self, forward3, kern, monkeypatch):
+        """config.quad (the CLI's --nodes/--tol) sets the cosine transform
+        of full_profile and wall_velocity, as it sets the series build."""
+        seen = []
+
+        def recording(densities, q, g_v, x, quad=None):
+            seen.append(quad)
+            return velocity_correction(densities, q, g_v, x, quad)
+
+        monkeypatch.setattr("kramers.profile.velocity_correction", recording)
+        custom = replace(default_density_quad(), rel_tol=1e-9)
+        config = ProblemConfig(q=1.0, gradient=1.0, order=3, quad=custom)
+        full_profile(config, [0.0, 2.0], kern, *forward3)
+        wall_velocity(config, kern, *forward3)
+        assert seen == [custom, custom, custom]
+
+        seen.clear()
+        default = ProblemConfig(q=1.0, gradient=1.0, order=3)
+        full_profile(default, [0.0], kern, *forward3)
+        wall_velocity(default, kern, *forward3)
+        assert seen == [default_density_quad(forward3[1][0].grid.k_max), None]
 
 
 class TestBoundaryDistribution:

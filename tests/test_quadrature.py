@@ -8,6 +8,7 @@ from kramers.quadrature import (
     NonFiniteIntegrand,
     QuadratureSpec,
     TailDivergence,
+    _tail_estimate,
     integrate_fourier_cos,
     integrate_gauss_weighted,
     integrate_halfline,
@@ -81,6 +82,65 @@ class TestHalfline:
             combo = integrate_halfline(lambda k: a * f(k) + b * h(k), HALFLINE)
             parts = a * integrate_halfline(f, HALFLINE) + b * integrate_halfline(h, HALFLINE)
             assert combo == pytest.approx(parts, abs=1e-8 * (1 + abs(a) + abs(b)))
+
+
+# integrands for the row-valued tests: smooth ones accepted at the first
+# doubling, two peaks accepted at the second and the third, and a row whose tail changes sign
+# between the two fit points of the HALFLINE extension panels
+ROWS = (
+    lambda k: np.exp(-k),
+    lambda k: 1.0 / (1.0 + k * k),
+    lambda k: 1.0 / (1.0 + (5.0 * (k - 2.3)) ** 2),
+    lambda k: 1.0 / (1.0 + (10.0 * (k - 2.3)) ** 2),
+    lambda k: (1.0 - k / 2000.0) / (1.0 + k * k),
+)
+
+
+def _stacked(rows):
+    return lambda k: np.stack([g(k) for g in rows])
+
+
+class TestRowValued:
+    def test_matches_scalar_calls(self):
+        got = integrate_halfline(_stacked(ROWS), HALFLINE)
+        assert got.shape == (len(ROWS),)
+        calls = []
+        for i, g in enumerate(ROWS):
+            count = [0]
+
+            def counted(k, g=g, count=count):
+                count[0] += 1
+                return g(k)
+
+            alone = integrate_halfline(counted, HALFLINE)
+            assert got[i] == pytest.approx(alone, rel=1e-15, abs=0.0)
+            calls.append(count[0])
+        # one call per node-doubling round plus one for the tail fit
+        assert sorted(set(calls)) == [3, 4, 5]
+
+    def test_sign_change_row_has_zero_tail(self):
+        last = HALFLINE.split_points[-1]
+        a, b = 16.0 * last, 64.0 * last
+        g = ROWS[-1]
+        assert g(a) > 0 > g(b)
+        tails = _tail_estimate(_stacked(ROWS), a, b, HALFLINE)
+        assert tails[-1] == 0.0
+        alone = _tail_estimate(ROWS[1], a, b, HALFLINE)
+        assert tails[1] == pytest.approx(alone, rel=1e-15, abs=0.0)
+        assert tails[1] > 0
+
+    def test_scalar_result_is_float(self):
+        assert type(integrate_halfline(ROWS[1], HALFLINE)) is float
+
+    def test_single_nonfinite_row(self):
+        rows = (ROWS[1], lambda k: np.sqrt(k - 100.0))
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntegrand):
+            integrate_halfline(_stacked(rows), HALFLINE)
+
+    def test_single_divergent_row(self):
+        rows = (ROWS[1], lambda k: 1.0 / (1.0 + k))
+        with pytest.raises(TailDivergence):
+            integrate_halfline(_stacked(rows), HALFLINE)
 
 
 class TestFourierCos:
