@@ -31,17 +31,21 @@ from .validation import report_json, report_lines, run_reference_checks
 __all__ = ["main"]
 
 
-def _add_common(p: argparse.ArgumentParser, drive: bool = False) -> None:
-    p.add_argument("--q", type=float, default=1.0, help="accommodation coefficient in [0, 1]")
-    p.add_argument("--order", type=int, default=3, help="series truncation order N")
-    p.add_argument("--nodes", type=int, default=None, help="quadrature nodes per panel")
-    p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
+def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format", choices=("table", "csv", "json"), default=None,
         help="output format (default: table on a terminal, csv otherwise)",
     )
     p.add_argument("--json", action="store_true", help="shorthand for --format json")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+
+
+def _add_common(p: argparse.ArgumentParser, drive: bool = False) -> None:
+    p.add_argument("--q", type=float, default=1.0, help="accommodation coefficient in [0, 1]")
+    p.add_argument("--order", type=int, default=3, help="series truncation order N")
+    p.add_argument("--nodes", type=int, default=None, help="quadrature nodes per panel")
+    p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
+    _add_output(p)
     if drive:
         g = p.add_mutually_exclusive_group()
         g.add_argument("--gradient", type=float, default=None, help="imposed velocity gradient")
@@ -69,8 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xmax", type=float, default=10.0, help="largest x value")
     p.add_argument("--xstep", type=float, default=0.5, help="x-grid spacing")
 
+    # the reference checks run at fixed settings, so validate takes no solve options
     p = sub.add_parser("validate", help="run the reference checks")
-    _add_common(p)
+    _add_output(p)
     return parser
 
 

@@ -88,15 +88,26 @@ def velocity_correction(
     densities: list[SpectralDensity],
     q: float,
     g_v: float,
-    x: float,
+    x,
     quad: QuadratureSpec | None = None,
-) -> float:
-    """Knudsen-layer correction U_c(x) from the iterates E_0..E_N."""
+) -> float | np.ndarray:
+    """Knudsen-layer correction U_c(x) from the iterates E_0..E_N.
+
+    ``x`` may be a scalar, which gives a float, or an array, which gives an
+    array of the same shape.  Every iterate at every x is one row-valued
+    integrate_fourier_cos call, each (iterate, x) pair under the scalar
+    rule; the transforms are then summed with their weights q^n.
+    """
     quad = quad or default_density_quad(densities[0].grid.k_max)
     prefactor = g_v * (2.0 - q) / math.pi
-    return prefactor * sum(
-        q**n * integrate_fourier_cos(e_n, x, quad) for n, e_n in enumerate(densities)
+    # each iterate is transformed on its own: a tail that is negligible
+    # (|E_n| <= abs_tol at the fit point) is dropped per iterate, so summing
+    # the iterates first would keep tails the per-iterate sum drops
+    transforms = integrate_fourier_cos(
+        lambda k: np.stack([e_n(k) for e_n in densities]), x, quad
     )
+    total = prefactor * sum(q**n * t_n for n, t_n in enumerate(transforms))
+    return float(total) if np.ndim(x) == 0 else total
 
 
 def _forward_build(config: ProblemConfig, kern, series, densities):
@@ -123,9 +134,7 @@ def full_profile(
     g_v, q = config.gradient, config.q
     v_sl = slip_velocity(series, q, g_v)
     quad = config.quad or default_density_quad(densities[0].grid.k_max)
-    correction = np.array(
-        [velocity_correction(densities, q, g_v, x, quad) for x in x_nodes]
-    )
+    correction = velocity_correction(densities, q, g_v, x_nodes, quad)
     asymptote = v_sl + g_v * x_nodes
     return VelocityProfile(
         x_nodes=x_nodes,
@@ -179,16 +188,15 @@ def boundary_distribution(
     """Wall boundary value h_c(0, mu) = (1/pi) int_0^oo E(k)/(1 + k^2 mu^2) dk.
 
     ``density_total`` is the assembled E(k) callable; the result is even in
-    mu, so both sides carry the same numbers.
+    mu, so both sides carry the same numbers.  All mu are the rows of one
+    row-valued integrate_halfline call, each under the scalar rule.
     """
     quad = quad or default_density_quad()
     mu_nodes = np.asarray(mu_nodes, dtype=float)
-    values = np.array(
-        [
-            integrate_halfline(lambda k: density_total(k) / (1.0 + k * k * mu * mu), quad)
-            / math.pi
-            for mu in mu_nodes
-        ]
+    mu = mu_nodes[:, None]
+    values = (
+        integrate_halfline(lambda k: density_total(k) / (1.0 + k * k * mu * mu), quad)
+        / math.pi
     )
     return DistributionSlice(mu_nodes=mu_nodes, values=values, side=side)
 

@@ -115,6 +115,15 @@ def run_reference_checks(
             )
         )
 
+    # reciprocity: (sum V_n q^n)(sum W_n q^n) = 1 holds order by order
+    for n in range(len(_INVERSE_COEFFS)):
+        product = sum(
+            series.coefficients[i] * inv_series.coefficients[n - i] for i in range(n + 1)
+        )
+        results.append(
+            _abs_check(f"reciprocity V*W order {n}", float(n == 0), product, 1e-11)
+        )
+
     # round trip: forward slip fed to the inverse series must come back near 1
     v_sl = slip_velocity(series, 1.0, 1.0)
     round_trip = v_sl * inv_series.partial_sum(1.0)

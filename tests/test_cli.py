@@ -94,3 +94,13 @@ class TestValidate:
         names = {c["name"] for c in data["checks"]}
         assert "slip coefficient V_0" in names
         assert "gradient coefficient W_3" in names
+        assert "reciprocity V*W order 3" in names
+
+    @pytest.mark.parametrize("option", ["--q", "--order", "--nodes", "--tol"])
+    def test_solve_options_rejected(self, capsys, option):
+        """validate runs at fixed settings, so a solve option is an error,
+        not an ignored argument."""
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", option, "1"])
+        assert exc.value.code == 2
+        assert option in capsys.readouterr().err

@@ -56,6 +56,32 @@ class TestCorrection:
         assert a == pytest.approx(2.0 * b, rel=1e-12)
 
 
+class TestBatched:
+    def test_profile_matches_scalar_corrections(self, profile_q1, forward3):
+        per_x = [velocity_correction(forward3[1], 1.0, 1.0, float(x)) for x in profile_q1.x_nodes]
+        assert np.max(np.abs(profile_q1.correction - per_x)) <= 1e-15
+
+    def test_array_x_keeps_shape(self, forward3):
+        x = np.array([[0.0, 0.4], [1.0, 5.0]])
+        got = velocity_correction(forward3[1], 0.5, 1.0, x)
+        assert got.shape == x.shape
+        assert got[1, 0] == pytest.approx(
+            velocity_correction(forward3[1], 0.5, 1.0, 1.0), rel=1e-15, abs=0.0
+        )
+
+    def test_distribution_matches_scalar_integrals(self, forward3):
+        density = combined_density(forward3[1], 0.7, 1.0)
+        mu = np.array([0.0, 0.1, 0.5, 1.0, 3.0])
+        got = boundary_distribution(density, mu).values
+        quad = default_density_quad()
+        per_mu = [
+            integrate_halfline(lambda k: density(k) / (1.0 + k * k * m * m), quad) / math.pi
+            for m in mu
+        ]
+        assert got.shape == mu.shape
+        assert np.max(np.abs(got - per_mu)) <= 1e-15
+
+
 class TestProfile:
     def test_asymptote_fit(self, profile_q1, forward3):
         """Far from the wall, U(x) is the straight line V_sl + g_v x."""
@@ -130,7 +156,8 @@ class TestQuadratureSettings:
         config = ProblemConfig(q=1.0, gradient=1.0, order=3, quad=custom)
         full_profile(config, [0.0, 2.0], kern, *forward3)
         wall_velocity(config, kern, *forward3)
-        assert seen == [custom, custom, custom]
+        # one call for all x of the profile, one for the wall value
+        assert seen == [custom, custom]
 
         seen.clear()
         default = ProblemConfig(q=1.0, gradient=1.0, order=3)

@@ -4,10 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from kramers import quadrature
 from kramers.quadrature import (
     NonFiniteIntegrand,
     QuadratureSpec,
     TailDivergence,
+    ToleranceNotMet,
     _tail_estimate,
     integrate_fourier_cos,
     integrate_gauss_weighted,
@@ -143,7 +145,43 @@ class TestRowValued:
             integrate_halfline(_stacked(rows), HALFLINE)
 
 
+# x = 0, one x below 0.5 (head panels to the last split point) and several
+# above; at x = 1 the first row stops at half-period panel 8 on a negligible
+# panel and the second at panel 41 on the averaged sums
+FOURIER_X = np.array([0.0, 0.3, 0.5, 1.0, 3.0, 7.5])
+FOURIER_ROWS = (lambda k: np.exp(-k), lambda k: 1.0 / (1.0 + k * k))
+
+
 class TestFourierCos:
+    def test_batched_matches_scalar_calls(self):
+        got = integrate_fourier_cos(_stacked(FOURIER_ROWS), FOURIER_X, HALFLINE)
+        assert got.shape == (len(FOURIER_ROWS), FOURIER_X.size)
+        for i, g in enumerate(FOURIER_ROWS):
+            for j, x in enumerate(FOURIER_X):
+                alone = integrate_fourier_cos(g, float(x), HALFLINE)
+                assert got[i, j] == pytest.approx(alone, rel=1e-15, abs=0.0)
+        one_row = integrate_fourier_cos(FOURIER_ROWS[1], FOURIER_X, HALFLINE)
+        assert one_row == pytest.approx(got[1], rel=1e-15, abs=0.0)
+
+    def test_scalar_result_is_float(self):
+        assert type(integrate_fourier_cos(FOURIER_ROWS[1], 1.0, HALFLINE)) is float
+        assert type(integrate_fourier_cos(FOURIER_ROWS[1], 0.0, HALFLINE)) is float
+
+    def test_negative_or_nan_x_rejected(self):
+        with pytest.raises(ValueError):
+            integrate_fourier_cos(FOURIER_ROWS[0], -1.0, HALFLINE)
+        with pytest.raises(ValueError):
+            integrate_fourier_cos(_stacked(FOURIER_ROWS), np.array([1.0, -0.5]), HALFLINE)
+        with pytest.raises(ValueError):
+            integrate_fourier_cos(FOURIER_ROWS[0], np.array([1.0, np.nan]), HALFLINE)
+
+    def test_single_unconverged_row(self, monkeypatch):
+        # the first row stops at panel 8 and the second would need 41
+        monkeypatch.setattr(quadrature, "_MAX_OSC_PANELS", 12)
+        assert integrate_fourier_cos(FOURIER_ROWS[0], 1.0, HALFLINE) > 0
+        with pytest.raises(ToleranceNotMet):
+            integrate_fourier_cos(_stacked(FOURIER_ROWS), np.array([1.0]), HALFLINE)
+
     def test_exponential_pair(self):
         # int_0^inf cos(kx) e^{-k} dk = 1/(1+x^2)
         for x in (0.5, 1.0, 3.0):
