@@ -3,9 +3,11 @@
 The continuous spectral variable k is discretized on a geometric grid; the
 finite k -> 0 limit of each density is stored separately (after pole removal
 the densities are regular at the origin).  Between nodes the density is a
-cubic spline; beyond the last node it continues as the power law fitted on
-the last decade of samples, so a density behaves as a callable on all of
-[0, oo) and can be fed straight to the half-line and Fourier integrators.
+not-a-knot cubic spline; beyond the last node it continues as the power law
+fitted on the last decade of samples, so a density behaves as a callable on
+all of [0, oo) and can be fed straight to the half-line and Fourier
+integrators.  Iterates on one grid can also be evaluated together, as the
+rows of one callable.
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .quadrature import QuadratureSpec
 
@@ -60,6 +61,65 @@ class SpectralGrid:
         return SpectralGrid(np.geomspace(self.nodes[0], self.nodes[-1], 2 * self.nodes.size))
 
 
+def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Not-a-knot cubic spline through ``(x, y)``, at least 4 points.
+
+    Returns power-basis coefficients ``c`` of shape ``(4, x.size - 1)``: on
+    [x_i, x_{i+1}] the spline is ``((c[0] t + c[1]) t + c[2]) t + c[3]``
+    with t = k - x_i.  The slopes at the knots solve a tridiagonal system
+    (one Thomas sweep); the not-a-knot end rows are written so that the
+    system stays tridiagonal, as in scipy's CubicSpline.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    sub = [0.0, *dx[1:].tolist(), d1]
+    diag = [dx[1], *(2.0 * (dx[:-1] + dx[1:])).tolist(), dx[-2]]
+    sup = [d0, *dx[:-1].tolist(), 0.0]
+    rhs = [
+        ((dx[0] + 2.0 * d0) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d0,
+        *(3.0 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])).tolist(),
+        (dx[-1] ** 2 * slope[-2] + (2.0 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1,
+    ]
+    for i in range(1, len(diag)):
+        m = sub[i] / diag[i - 1]
+        diag[i] -= m * sup[i - 1]
+        rhs[i] -= m * rhs[i - 1]
+    s = rhs  # back substitution in place
+    s[-1] /= diag[-1]
+    for i in range(len(diag) - 2, -1, -1):
+        s[i] = (s[i] - sup[i] * s[i + 1]) / diag[i]
+    s = np.array(s)
+    t = (s[:-1] + s[1:] - 2.0 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _spline_eval(knots: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """The spline with coefficients ``coef`` (``(4, *rows, intervals)``) at
+    the 1-D points k, as ``(*rows, k.size)``; the end pieces extrapolate."""
+    i = np.clip(np.searchsorted(knots, k, side="right") - 1, 0, knots.size - 2)
+    t = k - knots[i]
+    c = np.take(coef, i, axis=-1)
+    return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
+
+
+def _evaluate(knots, coef, tail_coef, tail_exponent, k) -> np.ndarray:
+    """_spline_eval on [0, knots[-1]] and the power-law tail past it, at
+    points k of any shape, as ``(*rows, *k.shape)``.
+
+    The tail parameters are arrays of shape ``rows``.  Every row gets the
+    same arithmetic as it would alone.
+    """
+    k = np.asarray(k, dtype=float)
+    flat = k.ravel()
+    out = _spline_eval(knots, coef, flat)
+    past = flat > knots[-1]
+    if past.any():
+        base = flat[past] / knots[-1]
+        out[..., past] = tail_coef[..., None] * base ** tail_exponent[..., None]
+    return out.reshape(out.shape[:-1] + k.shape)
+
+
 class SpectralDensity:
     """One Neumann iterate E_n(k), sampled on a SpectralGrid.
 
@@ -83,9 +143,10 @@ class SpectralDensity:
         self.values = values
         self.value_at_zero = float(value_at_zero)
         self.order = int(order)
-        k_full = np.concatenate(([0.0], grid.nodes))
-        v_full = np.concatenate(([self.value_at_zero], values))
-        self._spline = CubicSpline(k_full, v_full)
+        self._knots = np.concatenate(([0.0], grid.nodes))
+        self._coef = _spline_coefficients(
+            self._knots, np.concatenate(([self.value_at_zero], values))
+        )
         self._tail_coef, self._tail_exponent = self._fit_tail()
 
     def _fit_tail(self):
@@ -105,11 +166,9 @@ class SpectralDensity:
         return self._tail_exponent
 
     def __call__(self, k):
-        karr = np.asarray(k, dtype=float)
-        inside = karr <= self.grid.k_max
-        out = np.empty_like(karr)
-        out[inside] = self._spline(karr[inside])
-        out[~inside] = self._tail_coef * (karr[~inside] / self.grid.k_max) ** self._tail_exponent
+        out = _evaluate(
+            self._knots, self._coef, np.array(self._tail_coef), np.array(self._tail_exponent), k
+        )
         return float(out) if np.ndim(k) == 0 else out
 
     def self_check(self, rel_tol: float = 1e-5):
@@ -118,10 +177,10 @@ class SpectralDensity:
         Raises GridTooCoarse when the cubic interpolation error exceeds
         ``rel_tol`` relative to the density's overall scale.
         """
-        k_full = np.concatenate(([0.0], self.grid.nodes))
+        k_full = self._knots
         v_full = np.concatenate(([self.value_at_zero], self.values))
-        coarse = CubicSpline(k_full[::2], v_full[::2])
-        err = np.max(np.abs(coarse(k_full[1::2]) - v_full[1::2]))
+        coarse = _spline_coefficients(k_full[::2], v_full[::2])
+        err = np.max(np.abs(_spline_eval(k_full[::2], coarse, k_full[1::2]) - v_full[1::2]))
         scale = max(np.max(np.abs(v_full)), 1e-30)
         if err > rel_tol * scale:
             raise GridTooCoarse(
@@ -133,6 +192,23 @@ class SpectralDensity:
         return SpectralDensity(
             self.grid, values, value_at_zero, self.order + 1 if order is None else order
         )
+
+
+def _stack(densities: list[SpectralDensity]):
+    """The iterates ``densities`` as one row-valued callable.
+
+    ``f(k)`` returns ``(len(densities), *k.shape)`` values, row n equal bit
+    for bit to ``densities[n](k)``.  A spline is linear in its samples, so
+    the rows simply stack each iterate's own coefficients and tail; all
+    iterates must share one grid.
+    """
+    first = densities[0]
+    if any(not np.array_equal(d.grid.nodes, first.grid.nodes) for d in densities[1:]):
+        raise ValueError("stacked densities must share one grid")
+    coef = np.stack([d._coef for d in densities], axis=1)
+    tail_coef = np.array([d._tail_coef for d in densities])
+    tail_exponent = np.array([d._tail_exponent for d in densities])
+    return lambda k: _evaluate(first._knots, coef, tail_coef, tail_exponent, k)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,14 @@ Low truncation orders keep these runs cheap; the numbers themselves are
 covered by the acceptance suite.
 """
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kramers
 from kramers.cli import main
 
 
@@ -104,3 +109,24 @@ class TestValidate:
             main(["validate", option, "1"])
         assert exc.value.code == 2
         assert option in capsys.readouterr().err
+
+
+class TestImport:
+    def test_no_scipy_at_runtime(self):
+        """A cold CLI run loads numpy but no scipy module."""
+        code = (
+            "import sys, kramers.cli\n"
+            "assert kramers.cli.main(['wall', '--order', '0']) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        package_root = str(Path(kramers.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

@@ -15,6 +15,7 @@ from kramers.quadrature import (
     integrate_gauss_weighted,
     integrate_halfline,
 )
+from kramers.forward import default_density_quad
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -74,6 +75,21 @@ class TestHalfline:
     def test_nonfinite_integrand(self):
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntegrand):
             integrate_halfline(lambda k: np.sqrt(k - 100.0), HALFLINE)
+
+    def test_small_value_large_tail_kept(self):
+        """|g(b)| = 6e-12 is below abs_tol at b = 1.28e5, but the fitted tail
+        b |g(b)| / (p - 1) = 7.8e-7 is not, so it counts."""
+        got = integrate_halfline(lambda k: 0.1 / (1.0 + k) ** 2, default_density_quad())
+        assert got == pytest.approx(0.1, abs=1e-9)
+
+    def test_tail_compared_with_abs_tol(self):
+        """The fitted tail, not the last value, decides whether it is dropped."""
+        spec = default_density_quad()
+        a, b = 3.2e4, 1.28e5
+        # fitted tails 7.8e-13 and 7.8e-11 around abs_tol = 1e-11
+        assert _tail_estimate(lambda k: 1e-7 / (1.0 + k) ** 2, a, b, spec) == 0.0
+        kept = _tail_estimate(lambda k: 1e-5 / (1.0 + k) ** 2, a, b, spec)
+        assert kept == pytest.approx(1e-5 / b, rel=1e-4)
 
     def test_linearity(self):
         rng = np.random.default_rng(1234)
@@ -209,6 +225,55 @@ class TestFourierCos:
         mid = 0.5 * (edges[:-1] + edges[1:])
         riemann = float(np.sum(np.cos(mid * x) * e0(mid)) * (edges[1] - edges[0]))
         assert got == pytest.approx(riemann, abs=1e-6)
+
+
+# mpmath, 40 digits: (index, node, weight) of the n-point rule on [-1, 1],
+# nodes ascending; Newton's method on the three-term recurrence from the
+# Chebyshev-like guesses cos(pi (4k - 1) / (4n + 2))
+GAUSS_LEGENDRE_MPMATH = {
+    8: (
+        (4, 0.1834346424956498, 0.362683783378362),
+        (5, 0.525532409916329, 0.31370664587788727),
+        (6, 0.7966664774136267, 0.22238103445337448),
+        (7, 0.9602898564975363, 0.10122853629037626),
+    ),
+    64: (
+        (32, 0.024350292663424433, 0.048690957009139724),
+        (40, 0.4022701579639916, 0.044590558163756566),
+        (62, 0.9963401167719553, 0.004147033260562468),
+        (63, 0.9993050417357722, 0.001783280721696433),
+    ),
+    512: (
+        (256, 0.003064962185159396, 0.006129905175405786),
+        (320, 0.3851595738184011, 0.0056570090274452745),
+        (510, 0.9999419946068456, 6.57657316592402e-05),
+        (511, 0.9999889909843819, 2.825263737393469e-05),
+    ),
+}
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("n", sorted(GAUSS_LEGENDRE_MPMATH))
+    def test_frozen_mpmath_values(self, n):
+        x, w = quadrature._gauss_legendre(n)
+        assert x.shape == w.shape == (n,)
+        assert np.all(np.diff(x) > 0)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+        rel = 1e-13 if n <= 64 else 1e-11
+        for i, node, weight in GAUSS_LEGENDRE_MPMATH[n]:
+            assert x[i] == pytest.approx(node, rel=0.0, abs=4e-16)
+            assert w[i] == pytest.approx(weight, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("n", [8, 9, 33, 64])
+    def test_exact_to_degree_2n_minus_1(self, n):
+        x, w = quadrature._gauss_legendre(n)
+        for degree in range(2 * n):
+            exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
+            assert w @ x**degree == pytest.approx(exact, rel=1e-14, abs=1e-15)
+
+    def test_odd_rule_has_zero_node(self):
+        x, _ = quadrature._gauss_legendre(9)
+        assert x[4] == 0.0
 
 
 class TestSpecValidation:

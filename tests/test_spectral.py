@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from kramers import build_series_fwd
 from kramers.spectral import (
     GridTooCoarse,
     ProblemConfig,
     SeriesExpansion,
     SpectralDensity,
     SpectralGrid,
+    _stack,
 )
 
 
@@ -80,6 +82,49 @@ class TestDensity:
         other = lorentz.map(2.0 * lorentz(grid.nodes), value_at_zero=2.0)
         assert other.grid is grid
         assert other(0.0) == 2.0
+
+
+@pytest.fixture(scope="module")
+def iterates():
+    """E_0..E_3 of the default forward build."""
+    return build_series_fwd(3)[1]
+
+
+class TestSpline:
+    def test_reproduces_cubic(self):
+        cubic = lambda k: 1.5 * k**3 - 2.0 * k**2 + 0.3 * k - 1.0
+        grid = SpectralGrid(np.geomspace(1e-3, 3.0, 40))
+        density = SpectralDensity(grid, cubic(grid.nodes), value_at_zero=cubic(0.0))
+        k = np.linspace(0.0, 3.0, 1001)
+        assert np.max(np.abs(density(k) - cubic(k))) <= 1e-13
+
+    def test_matches_scipy_cubic_spline(self, iterates):
+        from scipy.interpolate import CubicSpline
+
+        e1 = iterates[1]
+        knots = np.concatenate(([0.0], e1.grid.nodes))
+        samples = np.concatenate(([e1.value_at_zero], e1.values))
+        k = np.concatenate((np.linspace(0.0, 5.0, 2001), np.geomspace(1e-4, e1.grid.k_max, 3001)))
+        scale = np.max(np.abs(samples))
+        assert np.max(np.abs(e1(k) - CubicSpline(knots, samples)(k))) <= 1e-15 * scale
+
+
+class TestStack:
+    def test_rows_equal_single_calls(self, iterates):
+        rows = _stack(iterates)
+        k_max = iterates[0].grid.k_max
+        k = np.concatenate(
+            (np.geomspace(1e-5, 1e7, 997), [0.0, 1.0, k_max, np.nextafter(k_max, np.inf)])
+        )
+        for points in (k, k[:996].reshape(12, 83), 0.5, 3.0 * k_max):
+            got = rows(points)
+            assert got.shape == (len(iterates), *np.shape(points))
+            assert np.array_equal(got, np.stack([np.asarray(d(points)) for d in iterates]))
+
+    def test_rejects_mixed_grids(self, lorentz):
+        other = SpectralGrid.geometric(count=64, k_max=100.0)
+        with pytest.raises(ValueError):
+            _stack([lorentz, SpectralDensity(other, np.ones(64), value_at_zero=1.0)])
 
 
 class TestSeries:
