@@ -72,28 +72,28 @@ def slip_coefficient(kern: KernelSuite, e_prev: SpectralDensity, quad: Quadratur
     return -integrate_halfline(lambda k: kern.t_n(1, k) * e_prev(k), quad) / SQRT_PI
 
 
-# k-values per row-valued integral of an operator application
-_ROW_BLOCK = 64
-
-
 def _apply_operator(
-    kern: KernelSuite, kernel, sign: float, e_prev: SpectralDensity, quad: QuadratureSpec
+    kern: KernelSuite, factors, sign: float, e_prev: SpectralDensity, quad: QuadratureSpec
 ) -> SpectralDensity:
     """E_n(k) = sign/(pi T_2(k)) int_0^oo S(k,k1) E_{n-1}(k1) dk1 at k = 0 and
-    at every grid node, with S the kernel method ``kernel`` of ``kern``.
+    at every grid node; ``factors`` is ``kern.s_fwd_factors`` or ``s_inv_factors``.
 
-    The k-values go in blocks of at most _ROW_BLOCK rows, one row-valued
-    ``integrate_halfline`` call per block, so every row of a block shares
-    the k1 points, the density values and the k1 factors of the kernel.
-    Each row keeps the scalar rule: its own node-doubling acceptance and its
-    own tail.  Row 0 is k = 0, where the S form is regular and
-    T_2(0) = 1/2, so it gives the value at zero without extrapolation.
+    One ``integrate_halfline`` call with ``left = L`` covers every k: each
+    round sums the k1 points into v_t = sum_j w_j m(k1_j) E_{n-1}(k1_j) A(k1_j, t)
+    and sets all rows as L @ v, O((rows + points) N_t) work, not O(rows points N_t).
+    Each row keeps its own node-doubling acceptance and tail.  Row 0 is k = 0,
+    where S is regular and T_2(0) = 1/2, so it gives the value at zero directly.
     """
     k = np.concatenate(([0.0], e_prev.grid.nodes))
-    integrals = []
-    for rows in np.array_split(k[:, None], -(-k.size // _ROW_BLOCK)):
-        integrals.append(integrate_halfline(lambda k1: kernel(rows, k1) * e_prev(k1), quad))
-    values = sign * np.concatenate(integrals) / (math.pi * kern.t_n(2, k))
+    left, weight = factors(k)
+
+    def g(k1):
+        pole = kern.pole(k1)
+        pole *= (weight(k1) * e_prev(k1))[:, None]
+        return pole.T
+
+    integrals = (2.0 / SQRT_PI) * integrate_halfline(g, quad, left=left)
+    values = sign * integrals / (math.pi * kern.t_n(2, k))
     return e_prev.map(values[1:], values[0])
 
 
@@ -101,7 +101,24 @@ def apply_operator_fwd(
     kern: KernelSuite, e_prev: SpectralDensity, quad: QuadratureSpec
 ) -> SpectralDensity:
     """One forward step: E_n(k) = -(1/(pi T_2(k))) int_0^oo S(k,k1) E_{n-1}(k1) dk1."""
-    return _apply_operator(kern, kern.s_fwd, -1.0, e_prev, quad)
+    return _apply_operator(kern, kern.s_fwd_factors, -1.0, e_prev, quad)
+
+
+def _build_series(kind, c0, build_first, coefficient, step, order, kern, grid, quad):
+    """The Neumann loop of both series: c_0, E_0 = build_first, then c_n and E_n
+    from E_{n-1}.  Callers pass their module attributes as read at call time."""
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    kern = kern or KernelSuite()
+    grid = grid or SpectralGrid.geometric()
+    quad = quad or default_density_quad(grid.k_max)
+
+    densities = [build_first(kern, grid)]
+    coeffs = [c0]
+    for _ in range(order):
+        coeffs.append(coefficient(kern, densities[-1], quad))
+        densities.append(step(kern, densities[-1], quad))
+    return SeriesExpansion(kind, tuple(coeffs)), densities
 
 
 def build_series_fwd(
@@ -115,18 +132,8 @@ def build_series_fwd(
     V_0 = sqrt(pi)/2 exactly; V_n for n >= 1 comes from the previous iterate,
     which is then advanced by the integral operator.
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    kern = kern or KernelSuite()
-    grid = grid or SpectralGrid.geometric()
-    quad = quad or default_density_quad(grid.k_max)
-
-    densities = [build_e0(kern, grid)]
-    coeffs = [V0_EXACT]
-    for _ in range(order):
-        coeffs.append(slip_coefficient(kern, densities[-1], quad))
-        densities.append(apply_operator_fwd(kern, densities[-1], quad))
-    return SeriesExpansion("forward", tuple(coeffs)), densities
+    return _build_series("forward", V0_EXACT, build_e0, slip_coefficient, apply_operator_fwd,
+                         order, kern, grid, quad)
 
 
 def slip_velocity(series: SeriesExpansion, q: float, g_v: float) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .forward import _apply_operator, default_density_quad
+from .forward import _apply_operator, _build_series
 from .kernels import SQRT_PI, KernelSuite
 from .quadrature import QuadratureSpec, integrate_halfline
 from .spectral import SeriesExpansion, SpectralDensity, SpectralGrid
@@ -46,7 +46,7 @@ def apply_operator_inv(
     kern: KernelSuite, e_prev: SpectralDensity, quad: QuadratureSpec
 ) -> SpectralDensity:
     """One inverse step: E_n(k) = +(1/(pi T_2(k))) int_0^oo S(k,k1) E_{n-1}(k1) dk1."""
-    return _apply_operator(kern, kern.s_inv, 1.0, e_prev, quad)
+    return _apply_operator(kern, kern.s_inv_factors, 1.0, e_prev, quad)
 
 
 def build_series_inv(
@@ -56,18 +56,8 @@ def build_series_inv(
     quad: QuadratureSpec | None = None,
 ) -> tuple[SeriesExpansion, list[SpectralDensity]]:
     """Gradient coefficients W_0..W_order and the inverse iterates E_0..E_order."""
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    kern = kern or KernelSuite()
-    grid = grid or SpectralGrid.geometric()
-    quad = quad or default_density_quad(grid.k_max)
-
-    densities = [build_e0_inv(kern, grid)]
-    coeffs = [W0_EXACT]
-    for _ in range(order):
-        coeffs.append(w_coefficient(kern, densities[-1], quad))
-        densities.append(apply_operator_inv(kern, densities[-1], quad))
-    return SeriesExpansion("inverse", tuple(coeffs)), densities
+    return _build_series("inverse", W0_EXACT, build_e0_inv, w_coefficient, apply_operator_inv,
+                         order, kern, grid, quad)
 
 
 def gradient(series: SeriesExpansion, q: float, v_sl: float) -> float:

@@ -13,11 +13,12 @@ transforms switch to half-period panels with repeated averaging of the
 alternating partial sums.
 
 A half-line integrand may also return a stack of rows, one integrand per row
-evaluated at the same points; each row then gets its own integral under the
-scalar rule.  The iteration operator uses this to integrate a whole block of
-k-values with one set of k1 evaluations.  The cosine transform takes the same
-rows and an array of x, and sweeps the half-period panels of every x at once;
-the profile uses this to transform all iterates at all x in one call.
+evaluated at the same points, or the rows of ``left @ g`` for a fixed matrix;
+each row gets its own integral under the scalar rule.  The iteration operator
+integrates every k-value with one set of k1 evaluations this way.  The cosine
+transform takes the same rows and an array of x, and sweeps the half-period
+panels of every x at once; the profile transforms all iterates at all x in one
+call.
 """
 from __future__ import annotations
 
@@ -184,25 +185,21 @@ def _scalar_or_rows(value: np.ndarray) -> float | np.ndarray:
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _refine(
-    f, edges: tuple[float, ...], spec: QuadratureSpec, weighted: bool
-) -> float | np.ndarray:
+def _refine(f, edges: tuple[float, ...], spec: QuadratureSpec, left=None) -> float | np.ndarray:
     """Panel rule on ``edges`` with node doubling until the change between
     two rounds is within ``spec._tol``.
 
     A row-valued integrand gets one value per row: each row is accepted at
     its own first converged doubling and keeps that value while the other
-    rows go on refining.
+    rows go on refining.  ``left`` is that of integrate_halfline.
     """
     n = spec.node_count
     prev = None
     for _ in range(_MAX_ROUNDS):
         x, w = _panel_rule(edges, n)
         vals = _eval(f, x)
-        if weighted:
-            vals = vals * np.exp(-x * x)
-        # a per-row reduction, so a row sums exactly as it would alone
-        cur = (vals * w).sum(axis=-1)
+        # a row sums exactly as it would alone; with ``left`` the points sum first
+        cur = (vals * w).sum(axis=-1) if left is None else left @ (vals @ w)
         if prev is None:
             # NaN marks a row not yet accepted; _eval has rejected NaN values
             result = np.full(cur.shape, np.nan)
@@ -236,17 +233,19 @@ def gauss_weighted_nodes(spec: QuadratureSpec):
 
 def integrate_gauss_weighted(f, spec: QuadratureSpec) -> float:
     """``int_0^oo exp(-t^2) f(t) dt`` for polynomially bounded continuous f."""
-    return _refine(f, _weighted_edges(spec), spec, weighted=True)
+    return _refine(lambda t: f(t) * np.exp(-t * t), _weighted_edges(spec), spec)
 
 
-def _tail_estimate(g, a: float, b: float, spec: QuadratureSpec) -> float | np.ndarray:
+def _tail_estimate(g, a: float, b: float, spec: QuadratureSpec, left=None):
     """Closed-form tail ``int_b^oo c k^-p dk`` from a two-point power fit
-    on [a, b], one per row of a row-valued integrand.
+    on [a, b], one per row of a row-valued integrand or of ``left @ g``.
 
     A sign change, or a fitted tail no larger than ``spec.abs_tol``, yields
     a zero tail; decay slower than 1/k raises TailDivergence.
     """
     vals = _eval(g, np.array([a, b]))
+    if left is not None:
+        vals = left @ vals
     ga, gb = vals[..., 0], vals[..., 1]
     # no clean power law to fit on a sign change; the last-panel magnitude
     # bounds the tail
@@ -262,7 +261,7 @@ def _tail_estimate(g, a: float, b: float, spec: QuadratureSpec) -> float | np.nd
     return _scalar_or_rows(np.where(np.abs(tail) > spec.abs_tol, tail, 0.0))
 
 
-def integrate_halfline(g, spec: QuadratureSpec) -> float | np.ndarray:
+def integrate_halfline(g, spec: QuadratureSpec, left=None) -> float | np.ndarray:
     """``int_0^oo g(k) dk`` for continuous g with O(k^-2) decay.
 
     Panels continue geometrically for two decades past the last split point
@@ -276,12 +275,16 @@ def integrate_halfline(g, spec: QuadratureSpec) -> float | np.ndarray:
     follows the scalar rule on its own, with its own node-doubling
     acceptance and its own tail; ``NonFiniteIntegrand``, ``TailDivergence``
     and ``ToleranceNotMet`` are raised when any row trips them.
+
+    With a fixed ``(rows, m)`` matrix ``left``, ``g`` returns ``(m, n)``
+    factor values and row i, under the same rule, integrates ``left[i] @ g``;
+    each round sums over the n points before it multiplies by ``left``.
     """
     last = spec.split_points[-1]
     extension = (4.0 * last, 16.0 * last, 64.0 * last)
     edges = (0.0, *spec.split_points, *extension)
-    main = _refine(g, edges, spec, weighted=False)
-    return main + _tail_estimate(g, extension[-2], extension[-1], spec)
+    main = _refine(g, edges, spec, left)
+    return main + _tail_estimate(g, extension[-2], extension[-1], spec, left)
 
 
 def integrate_fourier_cos(g, x, spec: QuadratureSpec) -> float | np.ndarray:
@@ -345,7 +348,6 @@ def _fourier_cos_positive(g_rows, x: np.ndarray, spec: QuadratureSpec) -> np.nda
             lambda k: (g_rows(k)[:, None, :] * np.cos(k * xc)).reshape(-1, k.size),
             (0.0, *inner, end),
             spec,
-            weighted=False,
         ).reshape(-1, xc.size)
         if base is None:
             base = np.empty((len(head), x.size))

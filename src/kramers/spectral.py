@@ -233,8 +233,8 @@ class SeriesExpansion:
     def partial_sum(self, q: float, order: int | None = None) -> float:
         """Sum of c_n q^n through the given order (default: all)."""
         last = self.order if order is None else order
-        if last > self.order:
-            raise ValueError(f"series only built to order {self.order}")
+        if not 0 <= last <= self.order:
+            raise ValueError(f"order must lie in [0, {self.order}] (the built order), got {last}")
         return float(sum(c * q**n for n, c in enumerate(self.coefficients[: last + 1])))
 
     def to_json(self) -> str:

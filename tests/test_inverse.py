@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from kramers import forward
 from kramers.forward import default_density_quad, slip_velocity
 from kramers.inverse import (
     W0_EXACT,
@@ -64,12 +65,24 @@ class TestOperator:
             2.0 / math.pi
         )
         assert e1.value_at_zero == pytest.approx(at_zero, abs=1e-13)
-        for i in (0, 52, 53, 200, grid.nodes.size - 1):
+        for i in np.linspace(0, grid.nodes.size - 1, 9).astype(int):
             k = grid.nodes[i]
             node = integrate_halfline(lambda k1: kern.s_inv(k, k1) * e0(k1), quad) / (
                 math.pi * kern.t_n(2, k)
             )
             assert e1.values[i] == pytest.approx(node, abs=1e-13)
+
+    def test_one_integral_per_apply(self, kern, grid, inverse3, monkeypatch):
+        """The separable operator integrates every k-value in one call."""
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return integrate_halfline(*args, **kwargs)
+
+        monkeypatch.setattr(forward, "integrate_halfline", counted)
+        apply_operator_inv(kern, inverse3[1][0], default_density_quad(grid.k_max))
+        assert len(calls) == 1
 
     def test_linearity(self, kern, grid, inverse3):
         quad = default_density_quad(grid.k_max)

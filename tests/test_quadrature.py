@@ -161,6 +161,61 @@ class TestRowValued:
             integrate_halfline(_stacked(rows), HALFLINE)
 
 
+# a left matrix with the ROWS as factor values: its rows are accepted at the
+# first, second and third doubling (the smooth factors, then each peak), and
+# the tail of its last row changes sign
+LEFT = np.array([
+    [1.0, 0.5, 0.0, 0.0, 0.0],
+    [0.0, 0.3, 1.0, 0.0, 0.0],
+    [0.2, 0.0, 0.0, 1.0, 0.0],
+    [0.1, 0.0, 0.0, 0.0, 1.0],
+])
+
+
+class TestLeftMatrix:
+    def test_matches_rows_of_the_product(self):
+        got = integrate_halfline(_stacked(ROWS), HALFLINE, left=LEFT)
+        assert got.shape == (len(LEFT),)
+        product = integrate_halfline(lambda k: LEFT @ _stacked(ROWS)(k), HALFLINE)
+        calls = []
+        for i, row in enumerate(LEFT):
+            assert got[i] == pytest.approx(product[i], rel=1e-15, abs=0.0)
+            count = [0]
+
+            def counted(k, row=row, count=count):
+                count[0] += 1
+                return row @ _stacked(ROWS)(k)
+
+            alone = integrate_halfline(counted, HALFLINE)
+            assert got[i] == pytest.approx(alone, rel=1e-15, abs=0.0)
+            calls.append(count[0])
+        # one call per node-doubling round plus one for the tail fit
+        assert sorted(set(calls)) == [3, 4, 5]
+
+    def test_sign_change_row_has_zero_tail(self):
+        last = HALFLINE.split_points[-1]
+        a, b = 16.0 * last, 64.0 * last
+        row = LEFT[-1] @ _stacked(ROWS)(np.array([a, b]))
+        assert row[0] > 0 > row[1]
+        tails = _tail_estimate(_stacked(ROWS), a, b, HALFLINE, left=LEFT)
+        assert tails[-1] == 0.0
+        product = _tail_estimate(lambda k: LEFT @ _stacked(ROWS)(k), a, b, HALFLINE)
+        assert tails == pytest.approx(product, rel=1e-15, abs=0.0)
+        assert np.all(tails[:-1] > 0)
+
+    def test_single_nonfinite_row(self):
+        factors = _stacked((ROWS[1], lambda k: np.sqrt(k - 100.0)))
+        left = np.array([[1.0, 0.0], [0.5, 1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntegrand):
+            integrate_halfline(factors, HALFLINE, left=left)
+
+    def test_single_divergent_row(self):
+        factors = _stacked((ROWS[1], lambda k: 1.0 / (1.0 + k)))
+        assert integrate_halfline(factors, HALFLINE, left=np.array([[1.0, 0.0]]))[0] > 0
+        with pytest.raises(TailDivergence):
+            integrate_halfline(factors, HALFLINE, left=np.array([[1.0, 0.0], [0.5, 1.0]]))
+
+
 # x = 0, one x below 0.5 (head panels to the last split point) and several
 # above; at x = 1 the first row stops at half-period panel 8 on a negligible
 # panel and the second at panel 41 on the averaged sums

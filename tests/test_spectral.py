@@ -134,6 +134,13 @@ class TestSeries:
         assert s.partial_sum(0.5, 1) == pytest.approx(0.75)
         assert s.order == 2
 
+    def test_partial_sum_rejects_negative_order(self):
+        s = SeriesExpansion("forward", (1.0, 2.0, 4.0))
+        assert s.partial_sum(1.0, 0) == 1.0
+        for order in (-1, -2, -3):
+            with pytest.raises(ValueError):
+                s.partial_sum(1.0, order)
+
     def test_json_round_trip(self):
         s = SeriesExpansion("inverse", (1.128379, -0.178920, 0.043083))
         back = SeriesExpansion.from_json(s.to_json())
