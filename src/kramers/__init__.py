@@ -40,7 +40,6 @@ from .quadrature import (
     TailDivergence,
     ToleranceNotMet,
     integrate_fourier_cos,
-    integrate_gauss_weighted,
     integrate_halfline,
 )
 from .spectral import (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -40,16 +41,12 @@ def _add_output(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
-def _add_common(p: argparse.ArgumentParser, drive: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=1.0, help="accommodation coefficient in [0, 1]")
     p.add_argument("--order", type=int, default=3, help="series truncation order N")
     p.add_argument("--nodes", type=int, default=None, help="quadrature nodes per panel")
     p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
     _add_output(p)
-    if drive:
-        g = p.add_mutually_exclusive_group()
-        g.add_argument("--gradient", type=float, default=None, help="imposed velocity gradient")
-        g.add_argument("--slip", type=float, default=None, help="imposed slip velocity")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,16 +57,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coeffs", help="slip-coefficient expansion")
-    _add_common(p, drive=True)
+    _add_common(p)
+    p.add_argument("--gradient", type=float, default=1.0, help="velocity gradient (default 1)")
 
     p = sub.add_parser("inverse", help="gradient expansion from an imposed slip")
-    _add_common(p, drive=True)
+    _add_common(p)
+    p.add_argument("--slip", type=float, required=True, help="imposed slip velocity")
 
     p = sub.add_parser("wall", help="wall velocity")
-    _add_common(p, drive=True)
+    _add_common(p)
+    p.add_argument("--gradient", type=float, default=1.0, help="velocity gradient (default 1)")
 
     p = sub.add_parser("profile", help="velocity profile")
-    _add_common(p, drive=True)
+    _add_common(p)
+    p.add_argument("--gradient", type=float, default=1.0, help="velocity gradient (default 1)")
     p.add_argument("--xmax", type=float, default=10.0, help="largest x value")
     p.add_argument("--xstep", type=float, default=0.5, help="x-grid spacing")
 
@@ -121,15 +122,6 @@ def _rows_out(rows, header, fmt, args) -> None:
         _emit("\n".join(lines) + "\n", args)
 
 
-def _config(args) -> ProblemConfig:
-    g_v = args.gradient
-    slip = args.slip
-    if g_v is None and slip is None:
-        g_v = 1.0
-    return ProblemConfig(q=args.q, gradient=g_v, slip=slip, order=args.order,
-                         quad=_quad_override(args))
-
-
 def _run(args) -> int:
     fmt = _resolve_format(args)
     if args.command == "validate":
@@ -140,22 +132,21 @@ def _run(args) -> int:
             _emit("\n".join(report_lines(results)) + "\n", args)
         return 0 if all(r.passed for r in results) else 1
 
-    config = _config(args)
+    # inverse has no gradient; its config checks q and order all the same
+    config = ProblemConfig(q=args.q, gradient=getattr(args, "gradient", 1.0), order=args.order,
+                           quad=_quad_override(args))
     kern = KernelSuite()
-    grid = config.make_grid()
 
     if args.command == "inverse":
-        if config.slip is None:
-            raise SystemExit2("inverse needs --slip (the imposed slip velocity)")
-        series, _ = build_series_inv(config.order, kern, grid, config.quad)
+        if not math.isfinite(args.slip):
+            raise SystemExit2(f"--slip must be finite, got {args.slip}")
+        series, _ = build_series_inv(config.order, kern, quad=config.quad)
         rows = [(f"W_{n}", c) for n, c in enumerate(series.coefficients)]
-        rows.append(("gradient", gradient(series, config.q, config.slip)))
+        rows.append(("gradient", gradient(series, config.q, args.slip)))
         _rows_out(rows, ("quantity", "value"), fmt, args)
         return 0
 
-    if config.gradient is None:
-        raise SystemExit2(f"{args.command} needs --gradient (or no drive flag for the default 1)")
-    series, densities = build_series_fwd(config.order, kern, grid, config.quad)
+    series, densities = build_series_fwd(config.order, kern, quad=config.quad)
 
     if args.command == "coeffs":
         rows = [(f"V_{n}", c) for n, c in enumerate(series.coefficients)]
@@ -165,8 +156,10 @@ def _run(args) -> int:
         u0 = wall_velocity(config, kern, series, densities)
         _rows_out([("wall_velocity", u0)], ("quantity", "value"), fmt, args)
     elif args.command == "profile":
-        if args.xstep <= 0 or args.xmax < 0:
-            raise SystemExit2("--xmax must be >= 0 and --xstep > 0")
+        # xstep > 0 before the division; a finite ratio gives a finite point count
+        if not (0 <= args.xmax < math.inf and 0 < args.xstep < math.inf
+                and math.isfinite(args.xmax / args.xstep)):
+            raise SystemExit2("--xmax must be >= 0 and --xstep > 0, finite, with a finite ratio")
         count = int(round(args.xmax / args.xstep)) + 1
         x_nodes = np.linspace(0.0, args.xstep * (count - 1), count)
         prof = full_profile(config, x_nodes, kern, series, densities)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .kernels import SQRT_PI, KernelSuite
 from .quadrature import QuadratureSpec, integrate_halfline
-from .spectral import ProblemConfig, SeriesExpansion, SpectralDensity, SpectralGrid
+from .spectral import SeriesExpansion, SpectralDensity, SpectralGrid
 
 __all__ = [
     "DiffuseLimitSingular",
@@ -47,19 +47,18 @@ def default_density_quad(k_max: float = 2000.0) -> QuadratureSpec:
     """
     return QuadratureSpec(
         node_count=64,
-        mapping="algebraic_halfline",
         rel_tol=1e-8,
         abs_tol=1e-11,
         split_points=(1.0, 4.0, 16.0, 64.0, 256.0, k_max),
     )
 
 
-def build_e0(kern: KernelSuite, grid: SpectralGrid, check: bool = True) -> SpectralDensity:
-    """Zeroth forward iterate E_0 = phi0_fwd / T_2, with E_0(0) = -1/2."""
+def build_e0(kern: KernelSuite, grid: SpectralGrid) -> SpectralDensity:
+    """Zeroth forward iterate E_0 = phi0_fwd / T_2, with E_0(0) = -1/2;
+    raises GridTooCoarse when the grid does not resolve it."""
     values = kern.phi0_fwd(grid.nodes) / kern.t_n(2, grid.nodes)
-    density = SpectralDensity(grid, values, value_at_zero=-0.5, order=0)
-    if check:
-        density.self_check()
+    density = SpectralDensity(grid, values, value_at_zero=-0.5)
+    density.self_check()
     return density
 
 

@@ -28,12 +28,12 @@ __all__ = [
 W0_EXACT = 2.0 / SQRT_PI
 
 
-def build_e0_inv(kern: KernelSuite, grid: SpectralGrid, check: bool = True) -> SpectralDensity:
-    """Zeroth inverse iterate E_0 = phi0_inv / T_2, with E_0(0) = -1/sqrt(pi)."""
+def build_e0_inv(kern: KernelSuite, grid: SpectralGrid) -> SpectralDensity:
+    """Zeroth inverse iterate E_0 = phi0_inv / T_2, with E_0(0) = -1/sqrt(pi);
+    raises GridTooCoarse when the grid does not resolve it."""
     values = kern.phi0_inv(grid.nodes) / kern.t_n(2, grid.nodes)
-    density = SpectralDensity(grid, values, value_at_zero=-1.0 / SQRT_PI, order=0)
-    if check:
-        density.self_check()
+    density = SpectralDensity(grid, values, value_at_zero=-1.0 / SQRT_PI)
+    density.self_check()
     return density
 
 

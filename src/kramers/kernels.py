@@ -46,9 +46,6 @@ _ORDERS = (1, 2, 3, 4, 5)
 # geometric refinement toward t=0 keeps the rule accurate for large k
 _DEFAULT_SPEC = QuadratureSpec(
     node_count=64,
-    mapping="gauss_weighted_halfline",
-    rel_tol=1e-12,
-    abs_tol=1e-14,
     split_points=(1.0 / 64, 1.0 / 16, 0.25, 1.0, 4.0),
 )
 

@@ -77,11 +77,11 @@ class VelocityProfile:
 
 @dataclass(frozen=True)
 class DistributionSlice:
-    """Boundary values of the continuum-spectrum distribution at the wall."""
+    """Boundary values of the continuum-spectrum distribution at the wall;
+    they are even in mu."""
 
     mu_nodes: np.ndarray
     values: np.ndarray
-    side: str = "plus"
 
 
 def velocity_correction(
@@ -109,14 +109,9 @@ def velocity_correction(
 
 
 def _forward_build(config: ProblemConfig, kern, series, densities):
-    if config.gradient is None:
-        raise ValueError("profile reconstruction needs a forward (gradient-driven) config")
-    kern = kern or KernelSuite()
     if series is None or densities is None:
-        series, densities = build_series_fwd(
-            config.order, kern, config.make_grid(), config.quad
-        )
-    return kern, series, densities
+        series, densities = build_series_fwd(config.order, kern, quad=config.quad)
+    return series, densities
 
 
 def full_profile(
@@ -127,7 +122,7 @@ def full_profile(
     densities: list[SpectralDensity] | None = None,
 ) -> VelocityProfile:
     """U(x) = V_sl(q) + g_v x + U_c(x) on the given x-grid."""
-    kern, series, densities = _forward_build(config, kern, series, densities)
+    series, densities = _forward_build(config, kern, series, densities)
     x_nodes = np.asarray(x_nodes, dtype=float)
     g_v, q = config.gradient, config.q
     v_sl = slip_velocity(series, q, g_v)
@@ -149,21 +144,17 @@ def wall_velocity(
     kern: KernelSuite | None = None,
     series: SeriesExpansion | None = None,
     densities: list[SpectralDensity] | None = None,
-    use_exact_slip: bool | None = None,
 ) -> float:
     """Gas velocity at the wall, U(0) = V_sl(q) + sum_n q^n U_c^(n)(0).
 
-    For q = 1 the slip entering the sum defaults to the exact diffuse
-    benchmark (that is the decomposition the reference partial sums use);
-    pass ``use_exact_slip=False`` to use the truncated series value instead.
+    At q = 1 the slip in the sum is the exact diffuse benchmark
+    ``g_v * EXACT_SLIP_DIFFUSE`` (the decomposition the reference partial
+    sums use); at any other q it is the truncated series ``slip_velocity``,
+    so U(0) equals ``full_profile(...).total[0]`` there.
     """
-    kern, series, densities = _forward_build(config, kern, series, densities)
+    series, densities = _forward_build(config, kern, series, densities)
     g_v, q = config.gradient, config.q
-    if use_exact_slip is None:
-        use_exact_slip = q == 1.0
-    v_sl = g_v * EXACT_SLIP_DIFFUSE if use_exact_slip else slip_velocity(series, q, g_v)
-    if use_exact_slip and q != 1.0:
-        raise ValueError("the exact slip benchmark only exists for q = 1")
+    v_sl = g_v * EXACT_SLIP_DIFFUSE if q == 1.0 else slip_velocity(series, q, g_v)
     return v_sl + velocity_correction(densities, q, g_v, 0.0, config.quad)
 
 
@@ -182,13 +173,14 @@ def boundary_distribution(
     density_total,
     mu_nodes,
     quad: QuadratureSpec | None = None,
-    side: str = "plus",
 ) -> DistributionSlice:
     """Wall boundary value h_c(0, mu) = (1/pi) int_0^oo E(k)/(1 + k^2 mu^2) dk.
 
-    ``density_total`` is the assembled E(k) callable; the result is even in
-    mu, so both sides carry the same numbers.  All mu are the rows of one
-    row-valued integrate_halfline call, each under the scalar rule.
+    ``density_total`` is the assembled E(k) callable, for example
+    combined_density; the result depends on mu^2 only, so one slice serves
+    both signs of mu.  All mu are the rows of one row-valued
+    integrate_halfline call, each under the scalar rule.  ``quad`` defaults
+    to ``default_density_quad()``.
     """
     quad = quad or default_density_quad()
     mu_nodes = np.asarray(mu_nodes, dtype=float)
@@ -197,7 +189,7 @@ def boundary_distribution(
         integrate_halfline(lambda k: density_total(k) / (1.0 + k * k * mu * mu), quad)
         / math.pi
     )
-    return DistributionSlice(mu_nodes=mu_nodes, values=values, side=side)
+    return DistributionSlice(mu_nodes=mu_nodes, values=values)
 
 
 def phi_n(

@@ -2,8 +2,8 @@
 
 All integrals live on [0, oo).  Three flavours are needed:
 
-* Gaussian-weighted integrals  ``int_0^oo exp(-t^2) f(t) dt``  (the moment
-  integrals behind the kernel functions),
+* Gaussian-weighted integrals  ``int_0^oo exp(-t^2) f(t) dt``  (the fixed
+  moment rule behind the kernel functions),
 * plain half-line integrals of algebraically decaying spectral functions,
 * Fourier-cosine transforms ``int_0^oo g(k) cos(kx) dk`` of those functions.
 
@@ -23,7 +23,8 @@ call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "NonFiniteIntegrand",
     "ToleranceNotMet",
     "TailDivergence",
-    "integrate_gauss_weighted",
     "integrate_halfline",
     "integrate_fourier_cos",
     "gauss_weighted_nodes",
@@ -68,48 +68,40 @@ class TailDivergence(QuadratureError):
 class QuadratureSpec:
     """Node counts, tolerances and panel boundaries for one integral family.
 
+    The function that takes the spec picks the treatment:
+    gauss_weighted_nodes, integrate_halfline or integrate_fourier_cos.
+
     Parameters
     ----------
     node_count : int
-        Gauss-Legendre nodes per panel (>= 8).
-    mapping : str
-        One of ``gauss_weighted_halfline``, ``algebraic_halfline``,
-        ``fourier_cos``; descriptive only, the integrate_* functions pick
-        the actual treatment.
+        Gauss-Legendre nodes per panel, an integer >= 8.
     rel_tol, abs_tol : float
-        Acceptance tolerances for the node-doubling error estimate.
+        Acceptance tolerances for the node-doubling error estimate, in (0, 1).
     split_points : tuple of float
-        Strictly increasing interior panel boundaries.  The last entry is
-        where the algebraic tail estimate takes over.
+        Strictly increasing, positive and finite interior panel boundaries.
+        The last entry is where the algebraic tail estimate takes over.
     """
 
     node_count: int = 64
-    mapping: str = "algebraic_halfline"
     rel_tol: float = 1e-10
     abs_tol: float = 1e-13
     split_points: tuple[float, ...] = (1.0, 4.0, 16.0, 64.0)
 
     def __post_init__(self):
-        if self.node_count < 8:
-            raise ValueError(f"node_count must be >= 8, got {self.node_count}")
+        if not isinstance(self.node_count, numbers.Integral) or self.node_count < 8:
+            raise ValueError(f"node_count must be an integer >= 8, got {self.node_count!r}")
         if not (0.0 < self.rel_tol < 1.0) or not (0.0 < self.abs_tol < 1.0):
             raise ValueError("tolerances must lie in (0, 1)")
         pts = tuple(float(s) for s in self.split_points)
-        if len(pts) == 0 or any(s <= 0 for s in pts):
-            raise ValueError("split_points must be positive")
+        if len(pts) == 0 or not all(0.0 < s < math.inf for s in pts):
+            raise ValueError("split_points must be positive and finite")
         if any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("split_points must be strictly increasing")
         object.__setattr__(self, "split_points", pts)
 
     def doubled(self) -> "QuadratureSpec":
         """Same spec with twice the nodes per panel (self-convergence runs)."""
-        return QuadratureSpec(
-            node_count=2 * self.node_count,
-            mapping=self.mapping,
-            rel_tol=self.rel_tol,
-            abs_tol=self.abs_tol,
-            split_points=self.split_points,
-        )
+        return replace(self, node_count=2 * self.node_count)
 
     def _tol(self, value):
         """Acceptance threshold for ``value``; elementwise for an array."""
@@ -215,25 +207,16 @@ def _refine(f, edges: tuple[float, ...], spec: QuadratureSpec, left=None) -> flo
     )
 
 
-def _weighted_edges(spec: QuadratureSpec) -> tuple[float, ...]:
-    inner = [s for s in spec.split_points if s < _GAUSS_CUTOFF]
-    return (0.0, *inner, _GAUSS_CUTOFF)
-
-
 def gauss_weighted_nodes(spec: QuadratureSpec):
     """Fixed nodes ``t`` and weights ``w`` (Gauss weight folded in) so that
-    ``int_0^oo exp(-t^2) f(t) dt ~= w @ f(t)``.
+    ``int_0^oo exp(-t^2) f(t) dt ~= w @ f(t)``, on the panels of
+    ``spec.split_points`` below the cutoff t = 9; the tolerances are not used.
 
-    Used by the kernel evaluators, which need the rule itself rather than a
-    one-shot integral.
+    The kernel evaluators use the rule itself rather than a one-shot integral.
     """
-    x, w = _panel_rule(_weighted_edges(spec), spec.node_count)
+    inner = [s for s in spec.split_points if s < _GAUSS_CUTOFF]
+    x, w = _panel_rule((0.0, *inner, _GAUSS_CUTOFF), spec.node_count)
     return x, w * np.exp(-x * x)
-
-
-def integrate_gauss_weighted(f, spec: QuadratureSpec) -> float:
-    """``int_0^oo exp(-t^2) f(t) dt`` for polynomially bounded continuous f."""
-    return _refine(lambda t: f(t) * np.exp(-t * t), _weighted_edges(spec), spec)
 
 
 def _tail_estimate(g, a: float, b: float, spec: QuadratureSpec, left=None):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +43,8 @@ class SpectralGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         if nodes.ndim != 1 or nodes.size < 8:
             raise ValueError("grid needs at least 8 nodes")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("grid nodes must be finite")
         if nodes[0] <= 0 or np.any(np.diff(nodes) <= 0):
             raise ValueError("nodes must be strictly increasing and positive")
         object.__setattr__(self, "nodes", nodes)
@@ -129,11 +132,9 @@ class SpectralDensity:
     values : array of samples aligned with ``grid.nodes``
     value_at_zero : float
         The finite limit at k = 0 (computed analytically, not extrapolated).
-    order : int
-        Index n of the iterate.
     """
 
-    def __init__(self, grid: SpectralGrid, values, value_at_zero: float, order: int = 0):
+    def __init__(self, grid: SpectralGrid, values, value_at_zero: float):
         values = np.asarray(values, dtype=float)
         if values.shape != grid.nodes.shape:
             raise ValueError("values must align with grid nodes")
@@ -142,7 +143,6 @@ class SpectralDensity:
         self.grid = grid
         self.values = values
         self.value_at_zero = float(value_at_zero)
-        self.order = int(order)
         self._knots = np.concatenate(([0.0], grid.nodes))
         self._coef = _spline_coefficients(
             self._knots, np.concatenate(([self.value_at_zero], values))
@@ -171,27 +171,23 @@ class SpectralDensity:
         )
         return float(out) if np.ndim(k) == 0 else out
 
-    def self_check(self, rel_tol: float = 1e-5):
+    def self_check(self):
         """Interpolate from every other node and compare on the held-out ones.
 
         Raises GridTooCoarse when the cubic interpolation error exceeds
-        ``rel_tol`` relative to the density's overall scale.
+        1e-5 relative to the density's overall scale.
         """
         k_full = self._knots
         v_full = np.concatenate(([self.value_at_zero], self.values))
         coarse = _spline_coefficients(k_full[::2], v_full[::2])
         err = np.max(np.abs(_spline_eval(k_full[::2], coarse, k_full[1::2]) - v_full[1::2]))
         scale = max(np.max(np.abs(v_full)), 1e-30)
-        if err > rel_tol * scale:
-            raise GridTooCoarse(
-                f"interpolation self-check error {err / scale:.2e} exceeds {rel_tol:.1e}"
-            )
+        if err > 1e-5 * scale:
+            raise GridTooCoarse(f"interpolation self-check error {err / scale:.2e} exceeds 1e-5")
 
-    def map(self, values, value_at_zero: float, order: int | None = None) -> "SpectralDensity":
+    def map(self, values, value_at_zero: float) -> "SpectralDensity":
         """New density on the same grid."""
-        return SpectralDensity(
-            self.grid, values, value_at_zero, self.order + 1 if order is None else order
-        )
+        return SpectralDensity(self.grid, values, value_at_zero)
 
 
 def _stack(densities: list[SpectralDensity]):
@@ -253,31 +249,21 @@ class SeriesExpansion:
 
 @dataclass(frozen=True)
 class ProblemConfig:
-    """Everything a single solve needs: physics inputs plus discretization.
-
-    Exactly one of ``gradient`` (forward problem) or ``slip`` (inverse
-    problem) must be given.
+    """What a forward solve reads: the diffuseness ``q`` in [0, 1], the
+    finite imposed velocity ``gradient``, the integer truncation ``order``
+    in [0, 12] and the density quadrature ``quad`` (None: the default rule
+    of the grid).  The spectral grid is always ``SpectralGrid.geometric()``.
     """
 
     q: float = 1.0
-    gradient: float | None = 1.0
-    slip: float | None = None
+    gradient: float = 1.0
     order: int = 3
     quad: QuadratureSpec | None = None
-    grid_count: int = 320
-    grid_k_min: float = 1e-3
-    grid_k_max: float = 2000.0
 
     def __post_init__(self):
         if not (0.0 <= self.q <= 1.0):
             raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if not (0 <= self.order <= 12):
-            raise ValueError(f"order must lie in [0, 12], got {self.order}")
-        if (self.gradient is None) == (self.slip is None):
-            raise ValueError("exactly one of gradient or slip must be set")
-        driving = self.gradient if self.gradient is not None else self.slip
-        if not math.isfinite(driving):
-            raise ValueError("driving value must be finite")
-
-    def make_grid(self) -> SpectralGrid:
-        return SpectralGrid.geometric(self.grid_count, self.grid_k_min, self.grid_k_max)
+        if not isinstance(self.order, numbers.Integral) or not (0 <= self.order <= 12):
+            raise ValueError(f"order must be an integer in [0, 12], got {self.order!r}")
+        if not isinstance(self.gradient, numbers.Real) or not math.isfinite(self.gradient):
+            raise ValueError(f"gradient must be a finite number, got {self.gradient!r}")

@@ -47,9 +47,10 @@ class TestInverse:
         assert data["gradient"] == pytest.approx(0.949460, abs=5e-4)
 
     def test_requires_slip(self, capsys):
-        code, _, err = run(capsys, "inverse", "--order", "0")
-        assert code == 2
-        assert "slip" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["inverse", "--order", "0"])
+        assert exc.value.code == 2
+        assert "--slip" in capsys.readouterr().err
 
 
 class TestProfile:
@@ -71,6 +72,15 @@ class TestProfile:
         code, _, _ = run(capsys, "profile", "--order", "0", "--xstep", "-1")
         assert code == 2
 
+    @pytest.mark.parametrize("grid", [("--xmax", "inf"), ("--xmax", "nan"), ("--xstep", "inf"),
+                                      ("--xmax", "1e300", "--xstep", "1e-300")])
+    def test_non_finite_x_grid_rejected(self, capsys, grid):
+        """An infinite x-range or point count is an argument error (exit 2),
+        not an uncaught OverflowError."""
+        code, out, err = run(capsys, "profile", "--order", "0", *grid)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "prof.csv"
         code, out, _ = run(capsys, "profile", "--order", "0", "--xmax", "1",
@@ -88,6 +98,23 @@ class TestArgumentErrors:
     def test_bad_q_value(self, capsys):
         code, _, _ = run(capsys, "coeffs", "--order", "0", "--q", "2.0")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("coeffs", "--slip", "1"),
+                                      ("inverse", "--gradient", "1", "--slip", "1")])
+    def test_drive_belongs_to_its_command(self, capsys, argv):
+        """coeffs, wall and profile take --gradient only, inverse --slip only."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--order", "0"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [("inverse", "--slip", "inf"),
+                                      ("coeffs", "--gradient", "nan"),
+                                      ("inverse", "--slip", "1", "--order", "13"),
+                                      ("inverse", "--slip", "1", "--q", "-0.5")])
+    def test_non_finite_or_out_of_range(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
 
 
 class TestValidate:

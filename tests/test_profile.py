@@ -107,11 +107,6 @@ class TestProfile:
     def test_csv_deterministic(self, profile_q1):
         assert profile_q1.to_csv() == profile_q1.to_csv()
 
-    def test_needs_gradient_drive(self, forward3, kern):
-        config = ProblemConfig(gradient=None, slip=1.0)
-        with pytest.raises(ValueError):
-            full_profile(config, [0.0, 1.0], kern, *forward3)
-
 
 class TestWall:
     def test_diffuse_partial_sums(self, forward3, kern):
@@ -125,20 +120,21 @@ class TestWall:
         config = ProblemConfig(q=1.0, gradient=1.0, order=3)
         got = wall_velocity(config, kern, *forward3)
         assert got == pytest.approx(EXACT_WALL_DIFFUSE, abs=1e-3)
+        # at q = 1 the slip in U(0) is the exact benchmark, not the series
+        parts = EXACT_SLIP_DIFFUSE + velocity_correction(forward3[1], 1.0, 1.0, 0.0)
+        assert got == pytest.approx(parts, rel=0.0, abs=1e-12)
 
     def test_series_slip_mode(self, forward3, kern):
-        config = ProblemConfig(q=1.0, gradient=1.0, order=3)
-        exact = wall_velocity(config, kern, *forward3, use_exact_slip=True)
-        truncated = wall_velocity(config, kern, *forward3, use_exact_slip=False)
-        assert exact != truncated
-        assert exact - truncated == pytest.approx(
-            EXACT_SLIP_DIFFUSE - slip_velocity(forward3[0], 1.0, 1.0), abs=1e-12
-        )
-
-    def test_exact_slip_rejected_off_diffuse(self, forward3, kern):
+        """Off the diffuse wall U(0) takes the truncated series slip, so it
+        is the x = 0 value of the profile."""
         config = ProblemConfig(q=0.5, gradient=1.0, order=3)
-        with pytest.raises(ValueError):
-            wall_velocity(config, kern, *forward3, use_exact_slip=True)
+        got = wall_velocity(config, kern, *forward3)
+        profile = full_profile(config, [0.0], kern, *forward3)
+        assert got == pytest.approx(profile.total[0], rel=0.0, abs=1e-12)
+        parts = slip_velocity(forward3[0], 0.5, 1.0) + velocity_correction(
+            forward3[1], 0.5, 1.0, 0.0
+        )
+        assert got == pytest.approx(parts, rel=0.0, abs=1e-12)
 
 
 class TestQuadratureSettings:

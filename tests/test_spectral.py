@@ -1,4 +1,5 @@
 """Grids, sampled densities, series containers, problem configuration."""
+import dataclasses
 import json
 import math
 
@@ -39,6 +40,16 @@ class TestGrid:
         with pytest.raises(ValueError):
             SpectralGrid(np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [(0, np.nan), (5, np.nan), (10, np.inf)])
+    def test_rejects_non_finite(self, bad):
+        """A NaN node used to pass the ordering checks, and the density on
+        that grid evaluated to NaN without an error."""
+        index, value = bad
+        nodes = np.geomspace(1e-3, 10.0, 11)
+        nodes[index] = value
+        with pytest.raises(ValueError):
+            SpectralGrid(nodes)
+
 
 @pytest.fixture(scope="module")
 def grid():
@@ -48,7 +59,7 @@ def grid():
 @pytest.fixture(scope="module")
 def lorentz(grid):
     # smooth test density with known k^-2 tail
-    return SpectralDensity(grid, 1.0 / (1.0 + grid.nodes**2), value_at_zero=1.0, order=0)
+    return SpectralDensity(grid, 1.0 / (1.0 + grid.nodes**2), value_at_zero=1.0)
 
 
 class TestDensity:
@@ -73,7 +84,7 @@ class TestDensity:
     def test_self_check_noisy(self, grid):
         rng = np.random.default_rng(7)
         noisy = SpectralDensity(
-            grid, rng.standard_normal(grid.nodes.size), value_at_zero=0.0, order=0
+            grid, rng.standard_normal(grid.nodes.size), value_at_zero=0.0
         )
         with pytest.raises(GridTooCoarse):
             noisy.self_check()
@@ -152,13 +163,17 @@ class TestSeries:
 class TestProblemConfig:
     def test_defaults(self):
         cfg = ProblemConfig()
-        assert cfg.q == 1.0 and cfg.gradient == 1.0 and cfg.slip is None
+        assert cfg.q == 1.0 and cfg.gradient == 1.0 and cfg.order == 3 and cfg.quad is None
 
-    def test_exactly_one_drive(self):
+    def test_fields(self):
+        assert [f.name for f in dataclasses.fields(ProblemConfig)] == [
+            "q", "gradient", "order", "quad"
+        ]
+
+    @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
+    def test_gradient_finite(self, bad):
         with pytest.raises(ValueError):
-            ProblemConfig(gradient=1.0, slip=1.0)
-        with pytest.raises(ValueError):
-            ProblemConfig(gradient=None, slip=None)
+            ProblemConfig(gradient=bad)
 
     def test_q_range(self):
         with pytest.raises(ValueError):
@@ -170,6 +185,8 @@ class TestProblemConfig:
         with pytest.raises(ValueError):
             ProblemConfig(order=13)
 
-    def test_make_grid(self):
-        grid = ProblemConfig(grid_count=64).make_grid()
-        assert grid.nodes.size == 64
+    def test_order_integer(self):
+        """order=2.5 used to pass and fail later inside full_profile."""
+        with pytest.raises(ValueError):
+            ProblemConfig(order=2.5)
+        assert ProblemConfig(order=np.int64(2)).order == 2
