@@ -7,19 +7,11 @@ and wall distribution diagnostics for a rarefied gas over a plane wall.
 
 from .forward import (
     DiffuseLimitSingular,
-    apply_operator_fwd,
-    build_e0,
     build_series_fwd,
-    default_density_quad,
-    slip_coefficient,
-    slip_velocity,
-)
-from .inverse import (
-    apply_operator_inv,
-    build_e0_inv,
     build_series_inv,
+    default_density_quad,
     gradient,
-    w_coefficient,
+    slip_velocity,
 )
 from .kernels import KernelSuite, UnsupportedOrder
 from .profile import (

@@ -21,8 +21,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .forward import DiffuseLimitSingular, build_series_fwd, default_density_quad, slip_velocity
-from .inverse import build_series_inv, gradient
+from .forward import (DiffuseLimitSingular, build_series_fwd, build_series_inv,
+                      default_density_quad, gradient, slip_velocity)
 from .kernels import KernelSuite
 from .profile import full_profile, wall_velocity
 from .quadrature import QuadratureError, QuadratureSpec
@@ -30,6 +30,10 @@ from .spectral import GridTooCoarse, ProblemConfig
 from .validation import report_json, report_lines, run_reference_checks
 
 __all__ = ["main"]
+
+# the cosine sweep holds every x at once: 20,001 x-points at order 3 take about
+# 3 s and 370 MB on a 2-vCPU Xeon, and memory grows with the count
+MAX_X_POINTS = 100_001
 
 
 def _add_output(p: argparse.ArgumentParser) -> None:
@@ -138,8 +142,6 @@ def _run(args) -> int:
     kern = KernelSuite()
 
     if args.command == "inverse":
-        if not math.isfinite(args.slip):
-            raise SystemExit2(f"--slip must be finite, got {args.slip}")
         series, _ = build_series_inv(config.order, kern, quad=config.quad)
         rows = [(f"W_{n}", c) for n, c in enumerate(series.coefficients)]
         rows.append(("gradient", gradient(series, config.q, args.slip)))
@@ -159,8 +161,10 @@ def _run(args) -> int:
         # xstep > 0 before the division; a finite ratio gives a finite point count
         if not (0 <= args.xmax < math.inf and 0 < args.xstep < math.inf
                 and math.isfinite(args.xmax / args.xstep)):
-            raise SystemExit2("--xmax must be >= 0 and --xstep > 0, finite, with a finite ratio")
+            raise ValueError("--xmax must be >= 0 and --xstep > 0, finite, with a finite ratio")
         count = int(round(args.xmax / args.xstep)) + 1
+        if count > MAX_X_POINTS:
+            raise ValueError(f"--xmax/--xstep gives {count} x-points, more than {MAX_X_POINTS}")
         x_nodes = np.linspace(0.0, args.xstep * (count - 1), count)
         prof = full_profile(config, x_nodes, kern, series, densities)
         if fmt == "json":
@@ -177,18 +181,11 @@ def _run(args) -> int:
     return 0
 
 
-class SystemExit2(Exception):
-    """Invalid arguments detected after parsing."""
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

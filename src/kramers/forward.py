@@ -1,18 +1,23 @@
-"""Forward slip problem: gradient given, slip velocity sought.
+"""Forward and inverse slip problems: one Neumann series of one operator.
 
 The spectral density of the Knudsen-layer velocity is expanded in powers of
 the diffuseness q.  The zeroth iterate has the closed pole-free form
 E_0 = phi0 / T_2; each further iterate is one application of the integral
-operator with the factorized kernel S, and each expansion coefficient V_n is
+operator with the factorized kernel S, and each expansion coefficient c_n is
 the number that cancels the second-order pole of the raw recursion at k = 0.
 With the S-kernel route the cancellation is built in, so no explicit
-subtraction is ever performed.
+subtraction is ever performed.  A ``SeriesKind`` holds all that sets the two
+series apart: FORWARD gives the slip coefficients V_n, INVERSE the gradient
+coefficients W_n.
 
-The slip velocity is  V_sl(q) = g_v (2-q)/q * sum_n V_n q^n.
+The slip velocity is  V_sl(q) = g_v (2-q)/q * sum_n V_n q^n, and the
+recovered gradient  g_v(q) = V_sl * q/(2-q) * sum_n W_n q^n.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,19 +27,50 @@ from .spectral import SeriesExpansion, SpectralDensity, SpectralGrid
 
 __all__ = [
     "DiffuseLimitSingular",
-    "build_e0",
-    "slip_coefficient",
-    "apply_operator_fwd",
+    "SeriesKind",
+    "FORWARD",
+    "INVERSE",
+    "first_iterate",
+    "coefficient",
+    "apply_operator",
     "build_series_fwd",
+    "build_series_inv",
     "slip_velocity",
+    "gradient",
     "default_density_quad",
 ]
-
-V0_EXACT = 0.5 * SQRT_PI
 
 
 class DiffuseLimitSingular(Exception):
     """q = 0 makes the (2-q)/q prefactor diverge (pure specular reflection)."""
+
+
+@dataclass(frozen=True)
+class SeriesKind:
+    """What sets one series apart from the other.
+
+    ``forcing`` and ``factors`` are KernelSuite methods, called with the
+    suite as their first argument; ``scale`` maps the moment
+    m = int_0^oo T_1(k) E_{n-1}(k) dk to the coefficient c_n.
+    """
+
+    name: str  # the SeriesExpansion.kind of the built series
+    c0: float
+    e0_at_zero: float
+    forcing: Callable
+    factors: Callable
+    sign: float
+    scale: Callable[[float], float]
+
+
+FORWARD = SeriesKind(
+    "forward", 0.5 * SQRT_PI, -0.5, KernelSuite.phi0_fwd, KernelSuite.s_fwd_factors, -1.0,
+    lambda m: -m / SQRT_PI,
+)
+INVERSE = SeriesKind(
+    "inverse", 2.0 / SQRT_PI, -1.0 / SQRT_PI, KernelSuite.phi0_inv, KernelSuite.s_inv_factors,
+    1.0, lambda m: 2.0 / math.pi * m,
+)
 
 
 def default_density_quad(k_max: float = 2000.0) -> QuadratureSpec:
@@ -53,29 +89,32 @@ def default_density_quad(k_max: float = 2000.0) -> QuadratureSpec:
     )
 
 
-def build_e0(kern: KernelSuite, grid: SpectralGrid) -> SpectralDensity:
-    """Zeroth forward iterate E_0 = phi0_fwd / T_2, with E_0(0) = -1/2;
+def first_iterate(kind: SeriesKind, kern: KernelSuite, grid: SpectralGrid) -> SpectralDensity:
+    """Zeroth iterate E_0 = phi0 / T_2, with E_0(0) = kind.e0_at_zero;
     raises GridTooCoarse when the grid does not resolve it."""
-    values = kern.phi0_fwd(grid.nodes) / kern.t_n(2, grid.nodes)
-    density = SpectralDensity(grid, values, value_at_zero=-0.5)
+    values = kind.forcing(kern, grid.nodes) / kern.t_n(2, grid.nodes)
+    density = SpectralDensity(grid, values, value_at_zero=kind.e0_at_zero)
     density.self_check()
     return density
 
 
-def slip_coefficient(kern: KernelSuite, e_prev: SpectralDensity, quad: QuadratureSpec) -> float:
-    """V_n = -(1/sqrt(pi)) int_0^oo T_1(k) E_{n-1}(k) dk.
+def coefficient(
+    kind: SeriesKind, kern: KernelSuite, e_prev: SpectralDensity, quad: QuadratureSpec
+) -> float:
+    """c_n = kind.scale(int_0^oo T_1(k) E_{n-1}(k) dk): V_n = -(1/sqrt(pi)) times
+    the integral, W_n = (2/pi) times it.
 
     This is exactly the residue-cancellation condition that keeps the next
     iterate finite at k = 0.
     """
-    return -integrate_halfline(lambda k: kern.t_n(1, k) * e_prev(k), quad) / SQRT_PI
+    return kind.scale(integrate_halfline(lambda k: kern.t_n(1, k) * e_prev(k), quad))
 
 
-def _apply_operator(
-    kern: KernelSuite, factors, sign: float, e_prev: SpectralDensity, quad: QuadratureSpec
+def apply_operator(
+    kind: SeriesKind, kern: KernelSuite, e_prev: SpectralDensity, quad: QuadratureSpec
 ) -> SpectralDensity:
     """E_n(k) = sign/(pi T_2(k)) int_0^oo S(k,k1) E_{n-1}(k1) dk1 at k = 0 and
-    at every grid node; ``factors`` is ``kern.s_fwd_factors`` or ``s_inv_factors``.
+    at every grid node, with the sign and the factors of S of ``kind``.
 
     One ``integrate_halfline`` call with ``left = L`` covers every k: each
     round sums the k1 points into v_t = sum_j w_j m(k1_j) E_{n-1}(k1_j) A(k1_j, t)
@@ -84,7 +123,7 @@ def _apply_operator(
     where S is regular and T_2(0) = 1/2, so it gives the value at zero directly.
     """
     k = np.concatenate(([0.0], e_prev.grid.nodes))
-    left, weight = factors(k)
+    left, weight = kind.factors(kern, k)
 
     def g(k1):
         pole = kern.pole(k1)
@@ -92,32 +131,24 @@ def _apply_operator(
         return pole.T
 
     integrals = (2.0 / SQRT_PI) * integrate_halfline(g, quad, left=left)
-    values = sign * integrals / (math.pi * kern.t_n(2, k))
+    values = kind.sign * integrals / (math.pi * kern.t_n(2, k))
     return e_prev.map(values[1:], values[0])
 
 
-def apply_operator_fwd(
-    kern: KernelSuite, e_prev: SpectralDensity, quad: QuadratureSpec
-) -> SpectralDensity:
-    """One forward step: E_n(k) = -(1/(pi T_2(k))) int_0^oo S(k,k1) E_{n-1}(k1) dk1."""
-    return _apply_operator(kern, kern.s_fwd_factors, -1.0, e_prev, quad)
-
-
-def _build_series(kind, c0, build_first, coefficient, step, order, kern, grid, quad):
-    """The Neumann loop of both series: c_0, E_0 = build_first, then c_n and E_n
-    from E_{n-1}.  Callers pass their module attributes as read at call time."""
+def _build_series(kind: SeriesKind, order, kern, grid, quad):
+    """The Neumann loop: c_0 and E_0, then c_n and E_n from E_{n-1}."""
     if order < 0:
         raise ValueError("order must be nonnegative")
     kern = kern or KernelSuite()
     grid = grid or SpectralGrid.geometric()
     quad = quad or default_density_quad(grid.k_max)
 
-    densities = [build_first(kern, grid)]
-    coeffs = [c0]
+    densities = [first_iterate(kind, kern, grid)]
+    coeffs = [kind.c0]
     for _ in range(order):
-        coeffs.append(coefficient(kern, densities[-1], quad))
-        densities.append(step(kern, densities[-1], quad))
-    return SeriesExpansion(kind, tuple(coeffs)), densities
+        coeffs.append(coefficient(kind, kern, densities[-1], quad))
+        densities.append(apply_operator(kind, kern, densities[-1], quad))
+    return SeriesExpansion(kind.name, tuple(coeffs)), densities
 
 
 def build_series_fwd(
@@ -131,14 +162,25 @@ def build_series_fwd(
     V_0 = sqrt(pi)/2 exactly; V_n for n >= 1 comes from the previous iterate,
     which is then advanced by the integral operator.
     """
-    return _build_series("forward", V0_EXACT, build_e0, slip_coefficient, apply_operator_fwd,
-                         order, kern, grid, quad)
+    return _build_series(FORWARD, order, kern, grid, quad)
+
+
+def build_series_inv(
+    order: int,
+    kern: KernelSuite | None = None,
+    grid: SpectralGrid | None = None,
+    quad: QuadratureSpec | None = None,
+) -> tuple[SeriesExpansion, list[SpectralDensity]]:
+    """Gradient coefficients W_0..W_order and the inverse iterates E_0..E_order."""
+    return _build_series(INVERSE, order, kern, grid, quad)
 
 
 def slip_velocity(series: SeriesExpansion, q: float, g_v: float) -> float:
     """V_sl(q) = g_v (2-q)/q * sum_n V_n q^n."""
     if series.kind != "forward":
         raise ValueError("slip_velocity needs a forward series")
+    if not math.isfinite(g_v):
+        raise ValueError(f"the gradient must be finite, got {g_v}")
     if q == 0.0:
         raise DiffuseLimitSingular(
             "slip velocity is unbounded for q = 0 (purely specular wall)"
@@ -146,3 +188,16 @@ def slip_velocity(series: SeriesExpansion, q: float, g_v: float) -> float:
     if not (0.0 < q <= 1.0):
         raise ValueError(f"q must lie in (0, 1], got {q}")
     return g_v * (2.0 - q) / q * series.partial_sum(q)
+
+
+def gradient(series: SeriesExpansion, q: float, v_sl: float) -> float:
+    """g_v(q) = V_sl * q/(2-q) * sum_n W_n q^n; exactly zero at q = 0."""
+    if series.kind != "inverse":
+        raise ValueError("gradient needs an inverse series")
+    if not math.isfinite(v_sl):
+        raise ValueError(f"the slip velocity must be finite, got {v_sl}")
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    if q == 0.0:
+        return 0.0
+    return v_sl * q / (2.0 - q) * series.partial_sum(q)

@@ -274,10 +274,11 @@ def integrate_fourier_cos(g, x, spec: QuadratureSpec) -> float | np.ndarray:
     """``int_0^oo g(k) cos(kx) dk`` for even-extendable g with algebraic decay.
 
     For x = 0 this degenerates to the plain half-line integral.  Otherwise the
-    head of the range is integrated on the usual panels, ending at 4 for
-    x >= 0.5 and at the last split point for slower oscillation, and the rest
-    is summed over half-period panels of width pi/x; the alternating partial
-    sums are accelerated by repeated pairwise averaging of the last eight.
+    head of the range is integrated on the usual panels, ending at the last
+    split point for x < 0.5, at 4 up to x = 64 and at the largest power of
+    two <= 256/x beyond, and the rest is summed over half-period panels of
+    width pi/x; the alternating partial sums are accelerated by repeated
+    pairwise averaging of the last eight.
 
     ``x`` may be an array, and ``g`` may return ``(rows, n)`` values as for
     integrate_halfline.  The result has shape ``(rows, *x.shape)``, without
@@ -290,8 +291,8 @@ def integrate_fourier_cos(g, x, spec: QuadratureSpec) -> float | np.ndarray:
     for a non-finite value at any evaluated node.
     """
     xs = np.asarray(x, dtype=float)
-    if not np.all(xs >= 0):
-        raise ValueError("x must be nonnegative")
+    if not np.all((xs >= 0) & (xs < math.inf)):
+        raise ValueError("x must be nonnegative and finite")
     flat = xs.ravel()
     lead = []  # leading shape of g's values: () for a scalar integrand
 
@@ -320,8 +321,12 @@ def integrate_fourier_cos(g, x, spec: QuadratureSpec) -> float | np.ndarray:
 def _fourier_cos_positive(g_rows, x: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
     """integrate_fourier_cos of the row-valued ``g_rows`` at x > 0, as a
     ``(rows, x.size)`` array."""
-    # for slow oscillation the plain panels already resolve cos(kx)
+    # for slow oscillation the plain panels already resolve cos(kx); past x = 64
+    # the head ends at a power of two <= 256/x and so holds at most 256/(2 pi)
+    # periods, as at x = 64: with more, node doubling stops meeting abs_tol
     base_end = np.where(x >= 0.5, 4.0, spec.split_points[-1])
+    fast = x > 64.0
+    base_end[fast] = 2.0 ** np.floor(np.log2(256.0 / x[fast]))
     base = None
     for end in np.unique(base_end).tolist():
         cols = base_end == end

@@ -11,7 +11,6 @@ rows of one callable.
 """
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -232,19 +231,6 @@ class SeriesExpansion:
         if not 0 <= last <= self.order:
             raise ValueError(f"order must lie in [0, {self.order}] (the built order), got {last}")
         return float(sum(c * q**n for n, c in enumerate(self.coefficients[: last + 1])))
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"kind": self.kind, "order": self.order, "coefficients": list(self.coefficients)}
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SeriesExpansion":
-        data = json.loads(text)
-        series = cls(kind=data["kind"], coefficients=tuple(data["coefficients"]))
-        if series.order != data.get("order", series.order):
-            raise ValueError("order field inconsistent with coefficient count")
-        return series
 
 
 @dataclass(frozen=True)

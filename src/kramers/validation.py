@@ -11,11 +11,9 @@ import json
 import math
 from dataclasses import dataclass
 
-from .forward import build_series_fwd, slip_velocity
-from .inverse import build_series_inv
+from .forward import build_series_fwd, build_series_inv, slip_velocity
 from .kernels import SQRT_PI, KernelSuite
 from .profile import EXACT_SLIP_DIFFUSE, EXACT_WALL_DIFFUSE, velocity_correction
-from .spectral import SpectralGrid
 
 __all__ = ["CheckResult", "run_reference_checks", "report_lines", "report_json"]
 
@@ -67,18 +65,15 @@ def _error_pattern_check(name, expected_pct, computed_pct, magnitude=True) -> Ch
     return CheckResult(name, expected_pct, computed_pct, 0.2, ok)
 
 
-def run_reference_checks(
-    kern: KernelSuite | None = None, grid: SpectralGrid | None = None
-) -> list[CheckResult]:
+def run_reference_checks() -> list[CheckResult]:
     """Recompute every reference quantity and compare."""
-    kern = kern or KernelSuite()
-    grid = grid or SpectralGrid.geometric()
+    kern = KernelSuite()
     results: list[CheckResult] = []
 
     results.append(_abs_check("T_1 at k=0", 1.0 / SQRT_PI, kern.t_n(1, 0.0), 1e-10))
     results.append(_abs_check("T_2 at k=0", 0.5, kern.t_n(2, 0.0), 1e-10))
 
-    series, densities = build_series_fwd(3, kern, grid)
+    series, densities = build_series_fwd(3, kern)
     for n, (expected, tol) in enumerate(_FORWARD_COEFFS):
         results.append(
             _abs_check(f"slip coefficient V_{n}", expected, series.coefficients[n], tol)
@@ -103,7 +98,7 @@ def run_reference_checks(
             )
         )
 
-    inv_series, _ = build_series_inv(3, kern, grid)
+    inv_series, _ = build_series_inv(3, kern)
     for n, (expected, tol) in enumerate(_INVERSE_COEFFS):
         results.append(
             _abs_check(f"gradient coefficient W_{n}", expected, inv_series.coefficients[n], tol)

@@ -73,10 +73,12 @@ class TestProfile:
         assert code == 2
 
     @pytest.mark.parametrize("grid", [("--xmax", "inf"), ("--xmax", "nan"), ("--xstep", "inf"),
-                                      ("--xmax", "1e300", "--xstep", "1e-300")])
+                                      ("--xmax", "1e300", "--xstep", "1e-300"),
+                                      ("--xmax", "1e15", "--xstep", "1")])
     def test_non_finite_x_grid_rejected(self, capsys, grid):
-        """An infinite x-range or point count is an argument error (exit 2),
-        not an uncaught OverflowError."""
+        """An infinite x-range, or more x-points than MAX_X_POINTS, is an
+        argument error (exit 2), not an uncaught OverflowError or
+        MemoryError."""
         code, out, err = run(capsys, "profile", "--order", "0", *grid)
         assert code == 2 and out == ""
         assert err.startswith("error:")

@@ -6,12 +6,12 @@ import pytest
 
 from kramers import forward
 from kramers.forward import (
-    V0_EXACT,
+    FORWARD,
     DiffuseLimitSingular,
-    apply_operator_fwd,
-    build_e0,
+    apply_operator,
+    coefficient,
     default_density_quad,
-    slip_coefficient,
+    first_iterate,
     slip_velocity,
 )
 from kramers.kernels import SQRT_PI
@@ -25,18 +25,18 @@ V1_REFERENCE = 0.140523501325592
 
 class TestZerothIterate:
     def test_value_at_zero(self, kern, grid):
-        e0 = build_e0(kern, grid)
+        e0 = first_iterate(FORWARD, kern, grid)
         assert e0(0.0) == -0.5
 
     def test_matches_ratio(self, kern, grid):
-        e0 = build_e0(kern, grid)
+        e0 = first_iterate(FORWARD, kern, grid)
         for k in (0.01, 0.5, 3.0, 40.0):
             assert e0(k) == pytest.approx(
                 kern.phi0_fwd(k) / kern.t_n(2, k), rel=1e-6, abs=1e-10
             )
 
     def test_negative_everywhere(self, kern, grid):
-        e0 = build_e0(kern, grid)
+        e0 = first_iterate(FORWARD, kern, grid)
         assert np.all(e0(grid.nodes) < 0)
 
     def test_tail_exponent(self, forward3):
@@ -48,7 +48,7 @@ class TestZerothIterate:
 class TestCoefficients:
     def test_v0_exact(self, forward3):
         series, _ = forward3
-        assert series.coefficients[0] == V0_EXACT == 0.5 * SQRT_PI
+        assert series.coefficients[0] == FORWARD.c0 == 0.5 * SQRT_PI
 
     def test_v1_high_precision(self, forward3):
         assert forward3[0].coefficients[1] == pytest.approx(V1_REFERENCE, abs=1e-6)
@@ -65,8 +65,8 @@ class TestCoefficients:
         quad = default_density_quad(grid.k_max)
         e0 = forward3[1][0]
         scaled = e0.map(3.0 * e0(grid.nodes), value_at_zero=3.0 * e0(0.0))
-        assert slip_coefficient(kern, scaled, quad) == pytest.approx(
-            3.0 * slip_coefficient(kern, e0, quad), rel=1e-9
+        assert coefficient(FORWARD, kern, scaled, quad) == pytest.approx(
+            3.0 * coefficient(FORWARD, kern, e0, quad), rel=1e-9
         )
 
 
@@ -82,7 +82,7 @@ class TestOperator:
         quad = default_density_quad(grid.k_max)
         e0 = forward3[1][0]
         e1 = forward3[1][1]
-        v1 = slip_coefficient(kern, e0, quad)
+        v1 = coefficient(FORWARD, kern, e0, quad)
         rng = np.random.default_rng(99)
         for k in rng.uniform(0.05, 8.0, 10):
             raw = -v1 * kern.t_n(1, k) - integrate_halfline(
@@ -114,14 +114,14 @@ class TestOperator:
             return integrate_halfline(*args, **kwargs)
 
         monkeypatch.setattr(forward, "integrate_halfline", counted)
-        apply_operator_fwd(kern, forward3[1][0], default_density_quad(grid.k_max))
+        apply_operator(FORWARD, kern, forward3[1][0], default_density_quad(grid.k_max))
         assert len(calls) == 1
 
     def test_linearity(self, kern, grid, forward3):
         quad = default_density_quad(grid.k_max)
         e0 = forward3[1][0]
         scaled = e0.map(-2.0 * e0(grid.nodes), value_at_zero=-2.0 * e0(0.0))
-        a = apply_operator_fwd(kern, scaled, quad)
+        a = apply_operator(FORWARD, kern, scaled, quad)
         b = forward3[1][1]
         assert np.allclose(a(grid.nodes), -2.0 * b(grid.nodes), rtol=1e-8, atol=1e-12)
 
@@ -156,3 +156,8 @@ class TestSlipVelocity:
     def test_wrong_kind_rejected(self, inverse3):
         with pytest.raises(ValueError):
             slip_velocity(inverse3[0], 1.0, 1.0)
+
+    @pytest.mark.parametrize("g_v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_gradient_rejected(self, forward3, g_v):
+        with pytest.raises(ValueError, match="finite"):
+            slip_velocity(forward3[0], 0.5, g_v)

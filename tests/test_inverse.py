@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from kramers import forward
-from kramers.forward import default_density_quad, slip_velocity
-from kramers.inverse import (
-    W0_EXACT,
-    apply_operator_inv,
-    build_e0_inv,
+from kramers.forward import (
+    INVERSE,
+    apply_operator,
+    coefficient,
+    default_density_quad,
+    first_iterate,
     gradient,
-    w_coefficient,
+    slip_velocity,
 )
 from kramers.kernels import SQRT_PI
 from kramers.quadrature import integrate_halfline
@@ -20,11 +21,11 @@ from kramers.spectral import SeriesExpansion
 
 class TestZerothIterate:
     def test_value_at_zero(self, kern, grid):
-        e0 = build_e0_inv(kern, grid)
+        e0 = first_iterate(INVERSE, kern, grid)
         assert e0(0.0) == pytest.approx(-1.0 / SQRT_PI, abs=1e-14)
 
     def test_matches_ratio(self, kern, grid):
-        e0 = build_e0_inv(kern, grid)
+        e0 = first_iterate(INVERSE, kern, grid)
         for k in (0.02, 1.0, 10.0):
             assert e0(k) == pytest.approx(
                 kern.phi0_inv(k) / kern.t_n(2, k), rel=1e-6, abs=1e-10
@@ -33,7 +34,7 @@ class TestZerothIterate:
 
 class TestCoefficients:
     def test_w0_exact(self, inverse3):
-        assert inverse3[0].coefficients[0] == W0_EXACT == 2.0 / SQRT_PI
+        assert inverse3[0].coefficients[0] == INVERSE.c0 == 2.0 / SQRT_PI
 
     def test_sign_alternation(self, inverse3):
         w = inverse3[0].coefficients
@@ -47,8 +48,8 @@ class TestCoefficients:
         quad = default_density_quad(grid.k_max)
         e0 = inverse3[1][0]
         scaled = e0.map(4.0 * e0(grid.nodes), value_at_zero=4.0 * e0(0.0))
-        assert w_coefficient(kern, scaled, quad) == pytest.approx(
-            4.0 * w_coefficient(kern, e0, quad), rel=1e-9
+        assert coefficient(INVERSE, kern, scaled, quad) == pytest.approx(
+            4.0 * coefficient(INVERSE, kern, e0, quad), rel=1e-9
         )
 
 
@@ -81,14 +82,14 @@ class TestOperator:
             return integrate_halfline(*args, **kwargs)
 
         monkeypatch.setattr(forward, "integrate_halfline", counted)
-        apply_operator_inv(kern, inverse3[1][0], default_density_quad(grid.k_max))
+        apply_operator(INVERSE, kern, inverse3[1][0], default_density_quad(grid.k_max))
         assert len(calls) == 1
 
     def test_linearity(self, kern, grid, inverse3):
         quad = default_density_quad(grid.k_max)
         e0 = inverse3[1][0]
         scaled = e0.map(0.5 * e0(grid.nodes), value_at_zero=0.5 * e0(0.0))
-        a = apply_operator_inv(kern, scaled, quad)
+        a = apply_operator(INVERSE, kern, scaled, quad)
         b = inverse3[1][1]
         assert np.allclose(a(grid.nodes), 0.5 * b(grid.nodes), rtol=1e-8, atol=1e-12)
 
@@ -122,3 +123,10 @@ class TestGradient:
     def test_wrong_kind_rejected(self, forward3):
         with pytest.raises(ValueError):
             gradient(forward3[0], 1.0, 1.0)
+
+    @pytest.mark.parametrize("q", [0.0, 0.5])
+    @pytest.mark.parametrize("v_sl", [math.nan, math.inf, -math.inf])
+    def test_non_finite_slip_rejected(self, inverse3, q, v_sl):
+        """Also at q = 0, where the gradient is otherwise exactly zero."""
+        with pytest.raises(ValueError, match="finite"):
+            gradient(inverse3[0], q, v_sl)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from kramers.cli import main
 from kramers.forward import default_density_quad, slip_velocity
 from kramers.profile import (
     EXACT_SLIP_DIFFUSE,
@@ -80,6 +81,26 @@ class TestBatched:
         ]
         assert got.shape == mu.shape
         assert np.max(np.abs(got - per_mu)) <= 1e-15
+
+
+class TestFarField:
+    def test_converges_far_from_wall(self, forward3):
+        """Past x = 64 the transform's head shrinks with 1/x, so it converges,
+        and agrees with a tighter rule, far out in the layer."""
+        x = np.array([83.0, 95.0, 200.0, 1000.0])
+        got = velocity_correction(forward3[1], 1.0, 1.0, x)
+        tight = replace(default_density_quad(), node_count=256, abs_tol=1e-13)
+        assert np.max(np.abs(got - velocity_correction(forward3[1], 1.0, 1.0, x, tight))) <= 1e-9
+
+    def test_cli_profile_to_200(self, capsys):
+        assert main(["profile", "--order", "0", "--xmax", "200", "--format", "csv"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 402
+
+    def test_infinite_x_rejected(self, forward3, kern):
+        with pytest.raises(ValueError, match="finite"):
+            velocity_correction(forward3[1], 1.0, 1.0, np.inf)
+        with pytest.raises(ValueError, match="finite"):
+            full_profile(ProblemConfig(), [0.0, np.inf], kern, *forward3)
 
 
 class TestProfile:

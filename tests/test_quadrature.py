@@ -246,6 +246,12 @@ class TestFourierCos:
         with pytest.raises(ValueError):
             integrate_fourier_cos(FOURIER_ROWS[0], np.array([1.0, np.nan]), HALFLINE)
 
+    @pytest.mark.parametrize("x", [math.inf, np.array([1.0, np.inf])])
+    def test_infinite_x_rejected(self, x):
+        """An infinite x is an argument error, not a NonFiniteIntegrand."""
+        with pytest.raises(ValueError, match="finite"):
+            integrate_fourier_cos(FOURIER_ROWS[0], x, HALFLINE)
+
     def test_single_unconverged_row(self, monkeypatch):
         # the first row stops at panel 8 and the second would need 41
         monkeypatch.setattr(quadrature, "_MAX_OSC_PANELS", 12)

@@ -1,6 +1,5 @@
 """Grids, sampled densities, series containers, problem configuration."""
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -151,13 +150,6 @@ class TestSeries:
         for order in (-1, -2, -3):
             with pytest.raises(ValueError):
                 s.partial_sum(1.0, order)
-
-    def test_json_round_trip(self):
-        s = SeriesExpansion("inverse", (1.128379, -0.178920, 0.043083))
-        back = SeriesExpansion.from_json(s.to_json())
-        assert back == s
-        payload = json.loads(s.to_json())
-        assert payload["kind"] == "inverse"
 
 
 class TestProblemConfig:
