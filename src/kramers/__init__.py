@@ -31,7 +31,6 @@ from .quadrature import (
     QuadratureSpec,
     TailDivergence,
     ToleranceNotMet,
-    integrate_fourier_cos,
     integrate_halfline,
 )
 from .spectral import (
@@ -40,6 +39,7 @@ from .spectral import (
     SeriesExpansion,
     SpectralDensity,
     SpectralGrid,
+    cosine_transform,
 )
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .forward import (DiffuseLimitSingular, build_series_fwd, build_series_inv,
+from .forward import (DiffuseLimitSingular, build_series_fwd, build_series_inv, check_finite,
                       default_density_quad, gradient, slip_velocity)
 from .kernels import KernelSuite
 from .profile import full_profile, wall_velocity
@@ -31,8 +31,8 @@ from .validation import report_json, report_lines, run_reference_checks
 
 __all__ = ["main"]
 
-# the cosine sweep holds every x at once: 20,001 x-points at order 3 take about
-# 3 s and 370 MB on a 2-vCPU Xeon, and memory grows with the count
+# bounds the run time: 100,001 x-points at order 3 take about 10 s on a
+# 2-vCPU Xeon (memory stays flat, the transform works in fixed blocks of x)
 MAX_X_POINTS = 100_001
 
 
@@ -104,6 +104,18 @@ def _quad_override(args) -> QuadratureSpec | None:
     return replace(base, **kw)
 
 
+def _x_grid(args) -> np.ndarray:
+    """The uniform profile grid 0, xstep, ..., about xmax."""
+    # xstep > 0 before the division; a finite ratio gives a finite point count
+    if not (0 <= args.xmax < math.inf and 0 < args.xstep < math.inf
+            and math.isfinite(args.xmax / args.xstep)):
+        raise ValueError("--xmax must be >= 0 and --xstep > 0, finite, with a finite ratio")
+    count = int(round(args.xmax / args.xstep)) + 1
+    if count > MAX_X_POINTS:
+        raise ValueError(f"--xmax/--xstep gives {count} x-points, more than {MAX_X_POINTS}")
+    return np.linspace(0.0, args.xstep * (count - 1), count)
+
+
 def _emit(text: str, args) -> None:
     if args.out:
         with open(args.out, "w", newline="") as fh:
@@ -136,9 +148,13 @@ def _run(args) -> int:
             _emit("\n".join(report_lines(results)) + "\n", args)
         return 0 if all(r.passed for r in results) else 1
 
-    # inverse has no gradient; its config checks q and order all the same
+    # every argument is checked before the build; inverse has no gradient, and
+    # its config checks q and order all the same
     config = ProblemConfig(q=args.q, gradient=getattr(args, "gradient", 1.0), order=args.order,
                            quad=_quad_override(args))
+    if args.command == "inverse":
+        check_finite(args.slip, "slip velocity")
+    x_nodes = _x_grid(args) if args.command == "profile" else None
     kern = KernelSuite()
 
     if args.command == "inverse":
@@ -158,14 +174,6 @@ def _run(args) -> int:
         u0 = wall_velocity(config, kern, series, densities)
         _rows_out([("wall_velocity", u0)], ("quantity", "value"), fmt, args)
     elif args.command == "profile":
-        # xstep > 0 before the division; a finite ratio gives a finite point count
-        if not (0 <= args.xmax < math.inf and 0 < args.xstep < math.inf
-                and math.isfinite(args.xmax / args.xstep)):
-            raise ValueError("--xmax must be >= 0 and --xstep > 0, finite, with a finite ratio")
-        count = int(round(args.xmax / args.xstep)) + 1
-        if count > MAX_X_POINTS:
-            raise ValueError(f"--xmax/--xstep gives {count} x-points, more than {MAX_X_POINTS}")
-        x_nodes = np.linspace(0.0, args.xstep * (count - 1), count)
         prof = full_profile(config, x_nodes, kern, series, densities)
         if fmt == "json":
             _emit(prof.to_json() + "\n", args)

@@ -37,6 +37,7 @@ __all__ = [
     "build_series_inv",
     "slip_velocity",
     "gradient",
+    "check_finite",
     "default_density_quad",
 ]
 
@@ -175,12 +176,18 @@ def build_series_inv(
     return _build_series(INVERSE, order, kern, grid, quad)
 
 
+def check_finite(value: float, name: str) -> None:
+    """Raise ValueError unless the drive ``value`` (the gradient or the slip
+    velocity) is finite; the CLI calls it before any build."""
+    if not math.isfinite(value):
+        raise ValueError(f"the {name} must be finite, got {value}")
+
+
 def slip_velocity(series: SeriesExpansion, q: float, g_v: float) -> float:
     """V_sl(q) = g_v (2-q)/q * sum_n V_n q^n."""
     if series.kind != "forward":
         raise ValueError("slip_velocity needs a forward series")
-    if not math.isfinite(g_v):
-        raise ValueError(f"the gradient must be finite, got {g_v}")
+    check_finite(g_v, "gradient")
     if q == 0.0:
         raise DiffuseLimitSingular(
             "slip velocity is unbounded for q = 0 (purely specular wall)"
@@ -194,8 +201,7 @@ def gradient(series: SeriesExpansion, q: float, v_sl: float) -> float:
     """g_v(q) = V_sl * q/(2-q) * sum_n W_n q^n; exactly zero at q = 0."""
     if series.kind != "inverse":
         raise ValueError("gradient needs an inverse series")
-    if not math.isfinite(v_sl):
-        raise ValueError(f"the slip velocity must be finite, got {v_sl}")
+    check_finite(v_sl, "slip velocity")
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must lie in [0, 1], got {q}")
     if q == 0.0:

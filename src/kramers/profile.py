@@ -4,7 +4,7 @@ distribution and the spectral distribution densities.
 The Knudsen-layer correction is the Fourier-cosine inversion of the spectral
 iterates,
 
-    U_c(x) = sum_n q^n * g_v (2-q)/pi * int_0^oo cos(kx) E_n(k) dk,
+    U_c(x) = g_v (2-q)/pi * int_0^oo cos(kx) sum_n q^n E_n(k) dk,
 
 and the full profile is U(x) = V_sl(q) + g_v x + U_c(x); far from the wall
 U approaches the linear asymptote, close to it the correction carves out the
@@ -21,8 +21,8 @@ import numpy as np
 
 from .forward import build_series_fwd, default_density_quad, slip_velocity
 from .kernels import KernelSuite
-from .quadrature import QuadratureSpec, integrate_fourier_cos, integrate_halfline
-from .spectral import ProblemConfig, SeriesExpansion, SpectralDensity, _stack
+from .quadrature import QuadratureSpec, integrate_halfline
+from .spectral import ProblemConfig, SeriesExpansion, SpectralDensity, _stack, cosine_transform
 
 __all__ = [
     "EXACT_SLIP_DIFFUSE",
@@ -38,8 +38,9 @@ __all__ = [
 ]
 
 # benchmark values for the fully diffuse wall (q = 1) from the closed-form
-# solution of the half-space problem
-EXACT_SLIP_DIFFUSE = 1.016191
+# solution of the half-space problem: the slip is
+# -(1/pi) int_0^oo ln(2 u^2 (1 - sqrt(pi) u erfcx(u))) du
+EXACT_SLIP_DIFFUSE = 1.016191418323353
 EXACT_WALL_DIFFUSE = 1.0 / math.sqrt(2.0)
 
 
@@ -89,23 +90,15 @@ def velocity_correction(
     q: float,
     g_v: float,
     x,
-    quad: QuadratureSpec | None = None,
 ) -> float | np.ndarray:
     """Knudsen-layer correction U_c(x) from the iterates E_0..E_N.
 
     ``x`` may be a scalar, which gives a float, or an array, which gives an
-    array of the same shape.  Every iterate at every x is one row-valued
-    integrate_fourier_cos call, each (iterate, x) pair under the scalar
-    rule; the transforms are then summed with their weights q^n.
+    array of the same shape.  The iterates combine with their weights q^n
+    before one exact cosine transform (``spectral.cosine_transform``).
     """
-    quad = quad or default_density_quad(densities[0].grid.k_max)
-    prefactor = g_v * (2.0 - q) / math.pi
-    # each iterate is transformed on its own: the tail beyond the last panel
-    # is a two-point power fit, and the fit of a sum of power laws is not the
-    # sum of their fits, so summing the iterates first moves U_c(0) by ~4e-8
-    transforms = integrate_fourier_cos(_stack(densities), x, quad)
-    total = prefactor * sum(q**n * t_n for n, t_n in enumerate(transforms))
-    return float(total) if np.ndim(x) == 0 else total
+    weights = [q**n for n in range(len(densities))]
+    return g_v * (2.0 - q) / math.pi * cosine_transform(densities, weights, x)
 
 
 def _forward_build(config: ProblemConfig, kern, series, densities):
@@ -126,8 +119,7 @@ def full_profile(
     x_nodes = np.asarray(x_nodes, dtype=float)
     g_v, q = config.gradient, config.q
     v_sl = slip_velocity(series, q, g_v)
-    quad = config.quad or default_density_quad(densities[0].grid.k_max)
-    correction = velocity_correction(densities, q, g_v, x_nodes, quad)
+    correction = velocity_correction(densities, q, g_v, x_nodes)
     asymptote = v_sl + g_v * x_nodes
     return VelocityProfile(
         x_nodes=x_nodes,
@@ -155,7 +147,7 @@ def wall_velocity(
     series, densities = _forward_build(config, kern, series, densities)
     g_v, q = config.gradient, config.q
     v_sl = g_v * EXACT_SLIP_DIFFUSE if q == 1.0 else slip_velocity(series, q, g_v)
-    return v_sl + velocity_correction(densities, q, g_v, 0.0, config.quad)
+    return v_sl + velocity_correction(densities, q, g_v, 0.0)
 
 
 def combined_density(densities: list[SpectralDensity], q: float, g_v: float):

@@ -1,24 +1,20 @@
-"""Semi-infinite quadrature for the three integral families of the solver.
+"""Semi-infinite quadrature for the integral families of the solver.
 
-All integrals live on [0, oo).  Three flavours are needed:
+All integrals live on [0, oo).  Two flavours are needed:
 
 * Gaussian-weighted integrals  ``int_0^oo exp(-t^2) f(t) dt``  (the fixed
   moment rule behind the kernel functions),
-* plain half-line integrals of algebraically decaying spectral functions,
-* Fourier-cosine transforms ``int_0^oo g(k) cos(kx) dk`` of those functions.
+* plain half-line integrals of algebraically decaying spectral functions.
 
 The engine is composite Gauss-Legendre on a split interval with node-doubling
-error control plus an algebraic power-law tail estimate; oscillatory
-transforms switch to half-period panels with repeated averaging of the
-alternating partial sums.
+error control plus an algebraic power-law tail estimate.  The cosine
+transforms of the profile are exact for the stored densities and live with
+them, in ``kramers.spectral``.
 
 A half-line integrand may also return a stack of rows, one integrand per row
 evaluated at the same points, or the rows of ``left @ g`` for a fixed matrix;
 each row gets its own integral under the scalar rule.  The iteration operator
-integrates every k-value with one set of k1 evaluations this way.  The cosine
-transform takes the same rows and an array of x, and sweeps the half-period
-panels of every x at once; the profile transforms all iterates at all x in one
-call.
+integrates every k-value with one set of k1 evaluations this way.
 """
 from __future__ import annotations
 
@@ -36,7 +32,6 @@ __all__ = [
     "ToleranceNotMet",
     "TailDivergence",
     "integrate_halfline",
-    "integrate_fourier_cos",
     "gauss_weighted_nodes",
 ]
 
@@ -44,8 +39,6 @@ __all__ = [
 _GAUSS_CUTOFF = 9.0
 # node-doubling rounds before giving up (node_count .. 8*node_count)
 _MAX_ROUNDS = 4
-# cap on half-period panels in the oscillatory sweep
-_MAX_OSC_PANELS = 20000
 
 
 class QuadratureError(Exception):
@@ -69,7 +62,7 @@ class QuadratureSpec:
     """Node counts, tolerances and panel boundaries for one integral family.
 
     The function that takes the spec picks the treatment:
-    gauss_weighted_nodes, integrate_halfline or integrate_fourier_cos.
+    gauss_weighted_nodes or integrate_halfline.
 
     Parameters
     ----------
@@ -268,118 +261,3 @@ def integrate_halfline(g, spec: QuadratureSpec, left=None) -> float | np.ndarray
     edges = (0.0, *spec.split_points, *extension)
     main = _refine(g, edges, spec, left)
     return main + _tail_estimate(g, extension[-2], extension[-1], spec, left)
-
-
-def integrate_fourier_cos(g, x, spec: QuadratureSpec) -> float | np.ndarray:
-    """``int_0^oo g(k) cos(kx) dk`` for even-extendable g with algebraic decay.
-
-    For x = 0 this degenerates to the plain half-line integral.  Otherwise the
-    head of the range is integrated on the usual panels, ending at the last
-    split point for x < 0.5, at 4 up to x = 64 and at the largest power of
-    two <= 256/x beyond, and the rest is summed over half-period panels of
-    width pi/x; the alternating partial sums are accelerated by repeated
-    pairwise averaging of the last eight.
-
-    ``x`` may be an array, and ``g`` may return ``(rows, n)`` values as for
-    integrate_halfline.  The result has shape ``(rows, *x.shape)``, without
-    the leading axis for a scalar integrand, and a scalar integrand at a
-    scalar x gives a float.  Every (row, x) pair follows the scalar rule on
-    its own: its own node-doubling acceptance on the head panels, its own
-    stopping test in the half-period sweep and the same panel cap.  All x
-    share one sweep, which evaluates ``g`` once per step on the panels of
-    the x that still have a row running; ``NonFiniteIntegrand`` is raised
-    for a non-finite value at any evaluated node.
-    """
-    xs = np.asarray(x, dtype=float)
-    if not np.all((xs >= 0) & (xs < math.inf)):
-        raise ValueError("x must be nonnegative and finite")
-    flat = xs.ravel()
-    lead = []  # leading shape of g's values: () for a scalar integrand
-
-    def g_rows(k):
-        vals = _eval(g, k)
-        lead[:] = [vals.shape[:-1]]
-        return np.atleast_2d(vals)
-
-    parts = []  # (columns of flat, their (rows, columns) values)
-    zero = flat == 0.0
-    if zero.any():
-        parts.append((zero, integrate_halfline(g_rows, spec)[:, None]))
-    pos = flat > 0.0
-    if pos.any():
-        parts.append((pos, _fourier_cos_positive(g_rows, flat[pos], spec)))
-
-    # with no x at all, g is evaluated at no points only to learn its row count
-    rows = len(parts[0][1]) if parts else len(g_rows(np.empty(0)))
-    out = np.empty((rows, flat.size))
-    for cols, vals in parts:
-        out[:, cols] = vals
-    out = out.reshape(len(out), *xs.shape)
-    return _scalar_or_rows(out if lead[0] else out[0])
-
-
-def _fourier_cos_positive(g_rows, x: np.ndarray, spec: QuadratureSpec) -> np.ndarray:
-    """integrate_fourier_cos of the row-valued ``g_rows`` at x > 0, as a
-    ``(rows, x.size)`` array."""
-    # for slow oscillation the plain panels already resolve cos(kx); past x = 64
-    # the head ends at a power of two <= 256/x and so holds at most 256/(2 pi)
-    # periods, as at x = 64: with more, node doubling stops meeting abs_tol
-    base_end = np.where(x >= 0.5, 4.0, spec.split_points[-1])
-    fast = x > 64.0
-    base_end[fast] = 2.0 ** np.floor(np.log2(256.0 / x[fast]))
-    base = None
-    for end in np.unique(base_end).tolist():
-        cols = base_end == end
-        xc = x[cols, None]
-        inner = [s for s in spec.split_points if s < end]
-        head = _refine(
-            lambda k: (g_rows(k)[:, None, :] * np.cos(k * xc)).reshape(-1, k.size),
-            (0.0, *inner, end),
-            spec,
-        ).reshape(-1, xc.size)
-        if base is None:
-            base = np.empty((len(head), x.size))
-        base[:, cols] = head
-
-    x0, w0 = _panel_rule((-1.0, 1.0), spec.node_count)
-    out = np.empty_like(base)
-    live = np.arange(x.size)  # columns with a row still running
-    half = math.pi / x
-    a = base_end
-    total = np.zeros_like(base)
-    partials = np.empty((0, *base.shape))  # the last 8 partial sums, oldest first
-    result = np.full_like(base, np.nan)  # NaN marks a (row, x) pair still running
-    averaged_prev = None
-    for j in range(_MAX_OSC_PANELS):
-        h = 0.5 * half
-        nodes = (a + h)[:, None] + h[:, None] * x0
-        vals = g_rows(nodes.ravel()).reshape(-1, *nodes.shape) * np.cos(nodes * x[:, None])
-        # one dot product per (row, x), the sum the scalar `(h * w0) @ vals` makes
-        term = np.matmul((h[:, None] * w0)[:, None, :], vals[..., None])[..., 0, 0]
-        total = total + term
-        partials = np.concatenate((partials[-7:], total[None]))
-        a = a + half
-        if j < 7:
-            continue
-        window = partials
-        while len(window) > 1:
-            window = 0.5 * (window[1:] + window[:-1])
-        averaged = window[0]
-        running = np.isnan(result)
-        # a negligible last panel means the raw sum itself has converged;
-        # the averaged value would mix in early, unconverged partials
-        raw = running & (np.abs(term) <= spec._tol(base + total))
-        result = np.where(raw, base + total, result)
-        if averaged_prev is not None:
-            settled = np.abs(averaged - averaged_prev) <= 0.1 * spec._tol(base + averaged)
-            result = np.where(running & ~raw & settled, base + averaged, result)
-        averaged_prev = averaged
-        keep = np.isnan(result).any(axis=0)
-        if not keep.all():
-            out[:, live[~keep]] = result[:, ~keep]
-            if not keep.any():
-                return out
-            live, x, half, a = live[keep], x[keep], half[keep], a[keep]
-            base, total, result = base[:, keep], total[:, keep], result[:, keep]
-            partials, averaged_prev = partials[:, :, keep], averaged_prev[:, keep]
-    raise ToleranceNotMet("oscillatory tail did not converge")

@@ -118,6 +118,22 @@ class TestArgumentErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [("inverse", "--slip", "inf", "--order", "12"),
+                                      ("inverse", "--slip", "nan"),
+                                      ("coeffs", "--gradient=-inf"),
+                                      ("profile", "--xmax", "inf"),
+                                      ("profile", "--xmax", "1e15", "--xstep", "1")])
+    def test_checked_before_the_build(self, capsys, monkeypatch, argv):
+        """A bad drive or x-grid is rejected before any series is built."""
+        def no_build(*args, **kwargs):
+            raise AssertionError("series built before the arguments were checked")
+
+        monkeypatch.setattr("kramers.cli.build_series_fwd", no_build)
+        monkeypatch.setattr("kramers.cli.build_series_inv", no_build)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error:")
+
 
 class TestValidate:
     def test_json_report(self, capsys):

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import cosine_oracle
 
 from kramers.cli import main
 from kramers.forward import default_density_quad, slip_velocity
@@ -85,12 +86,15 @@ class TestBatched:
 
 class TestFarField:
     def test_converges_far_from_wall(self, forward3):
-        """Past x = 64 the transform's head shrinks with 1/x, so it converges,
-        and agrees with a tighter rule, far out in the layer."""
+        """Far out in the layer the exact transform still matches the
+        brute-force oracle, and U_c keeps decaying."""
         x = np.array([83.0, 95.0, 200.0, 1000.0])
         got = velocity_correction(forward3[1], 1.0, 1.0, x)
-        tight = replace(default_density_quad(), node_count=256, abs_tol=1e-13)
-        assert np.max(np.abs(got - velocity_correction(forward3[1], 1.0, 1.0, x, tight))) <= 1e-9
+        weights = [1.0] * len(forward3[1])
+        for xj, uj in zip(x[:3], got[:3]):
+            assert uj == pytest.approx(cosine_oracle(forward3[1], weights, xj) / math.pi,
+                                       rel=0.0, abs=1e-15)
+        assert np.all(np.abs(got) < 2e-9) and np.all(np.diff(np.abs(got)) < 0)
 
     def test_cli_profile_to_200(self, capsys):
         assert main(["profile", "--order", "0", "--xmax", "200", "--format", "csv"]) == 0
@@ -129,6 +133,31 @@ class TestProfile:
         assert profile_q1.to_csv() == profile_q1.to_csv()
 
 
+class TestExactSlip:
+    def test_recomputed_from_the_dispersion_integral(self):
+        """EXACT_SLIP_DIFFUSE is the diffuse-wall slip
+        -(1/pi) int_0^oo ln(2 u^2 (1 - sqrt(pi) u erfcx(u))) du, with u = 1/k.
+        Past u = 30 the bracket comes from its asymptotic series
+        sum_j (-1)^j (2j+1)!! / (2u^2)^j, because 1 - sqrt(pi) u erfcx(u)
+        cancels there (plain erfcx costs 2.5e-7)."""
+        from scipy.integrate import quad
+        from scipy.special import erfcx
+
+        def near(u):
+            return math.log(2.0 * u * u * (1.0 - math.sqrt(math.pi) * u * erfcx(u)))
+
+        def far(u):
+            y, term, rest = 0.5 / (u * u), 1.0, 0.0
+            for j in range(1, 12):
+                term *= -(2 * j + 1) * y
+                rest += term
+            return math.log1p(rest)
+
+        head, _ = quad(near, 0.0, 30.0, epsabs=1e-14, epsrel=1e-14, limit=200)
+        tail, _ = quad(far, 30.0, math.inf, epsabs=1e-14, epsrel=1e-14, limit=200)
+        assert EXACT_SLIP_DIFFUSE == pytest.approx(-(head + tail) / math.pi, rel=0.0, abs=1e-10)
+
+
 class TestWall:
     def test_diffuse_partial_sums(self, forward3, kern):
         for order, expected in ((0, 0.674744), (1, 0.710319), (2, 0.706802)):
@@ -159,28 +188,28 @@ class TestWall:
 
 
 class TestQuadratureSettings:
-    def test_config_quad_reaches_transform(self, forward3, kern, monkeypatch):
-        """config.quad (the CLI's --nodes/--tol) sets the cosine transform
-        of full_profile and wall_velocity, as it sets the series build."""
+    def test_config_quad_sets_only_the_build(self, forward3, kern, monkeypatch):
+        """config.quad (the CLI's --nodes/--tol) reaches the series build of
+        full_profile and wall_velocity; the transform of built iterates is
+        exact and takes no quadrature."""
+        custom = replace(default_density_quad(), rel_tol=1e-9)
+        config = ProblemConfig(q=0.5, gradient=1.0, order=3, quad=custom)
+        default = ProblemConfig(q=0.5, gradient=1.0, order=3)
+        x = [0.0, 2.0]
+        assert np.array_equal(full_profile(config, x, kern, *forward3).total,
+                              full_profile(default, x, kern, *forward3).total)
+        assert wall_velocity(config, kern, *forward3) == wall_velocity(default, kern, *forward3)
+
         seen = []
 
-        def recording(densities, q, g_v, x, quad=None):
+        def recording(order, kern=None, grid=None, quad=None):
             seen.append(quad)
-            return velocity_correction(densities, q, g_v, x, quad)
+            return forward3
 
-        monkeypatch.setattr("kramers.profile.velocity_correction", recording)
-        custom = replace(default_density_quad(), rel_tol=1e-9)
-        config = ProblemConfig(q=1.0, gradient=1.0, order=3, quad=custom)
-        full_profile(config, [0.0, 2.0], kern, *forward3)
-        wall_velocity(config, kern, *forward3)
-        # one call for all x of the profile, one for the wall value
+        monkeypatch.setattr("kramers.profile.build_series_fwd", recording)
+        full_profile(config, x, kern)
+        wall_velocity(config, kern)
         assert seen == [custom, custom]
-
-        seen.clear()
-        default = ProblemConfig(q=1.0, gradient=1.0, order=3)
-        full_profile(default, [0.0], kern, *forward3)
-        wall_velocity(default, kern, *forward3)
-        assert seen == [default_density_quad(forward3[1][0].grid.k_max), None]
 
 
 class TestBoundaryDistribution:

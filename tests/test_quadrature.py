@@ -1,21 +1,23 @@
-"""Quadrature rules against closed forms and brute-force Riemann/Simpson sums."""
+"""Quadrature rules and the exact cosine transform against closed forms and
+brute-force Gauss-Legendre, Riemann and Simpson sums."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from oracles import cosine_oracle, cosine_oracle_tail
 
-from kramers import quadrature
+from kramers import quadrature, spectral
 from kramers.quadrature import (
     NonFiniteIntegrand,
     QuadratureSpec,
     TailDivergence,
-    ToleranceNotMet,
     _tail_estimate,
     gauss_weighted_nodes,
-    integrate_fourier_cos,
     integrate_halfline,
 )
 from kramers.forward import default_density_quad
+from kramers.spectral import SpectralDensity, SpectralGrid, _stack, cosine_transform
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -216,72 +218,132 @@ class TestLeftMatrix:
             integrate_halfline(factors, HALFLINE, left=np.array([[1.0, 0.0], [0.5, 1.0]]))
 
 
-# x = 0, one x below 0.5 (head panels to the last split point) and several
-# above; at x = 1 the first row stops at half-period panel 8 on a negligible
-# panel and the second at panel 41 on the averaged sums
-FOURIER_X = np.array([0.0, 0.3, 0.5, 1.0, 3.0, 7.5])
-FOURIER_ROWS = (lambda k: np.exp(-k), lambda k: 1.0 / (1.0 + k * k))
+# x = 0, x on both sides of the tail series start K x = 40 (x = 0.02) and of
+# the parts/Gauss switch x h = 1 of the widest piece (x = 1/89), and larger x
+FOURIER_X = np.array([0.0, 0.01, 1.0 / 89.0, 0.0199, 0.02, 0.3, 1.0, 3.7, 10.0, 30.0])
+ORACLE_X = (0.01, 0.3, 1.0, 3.7, 10.0, 30.0)
+WEIGHTS = (1.0, 0.5, 0.25, 0.125)
+
+
+def _sampled(f):
+    """f on the default grid as a density with f(0) at k = 0."""
+    grid = SpectralGrid.geometric()
+    return SpectralDensity(grid, f(grid.nodes), float(f(np.array(0.0))))
 
 
 class TestFourierCos:
-    def test_batched_matches_scalar_calls(self):
-        got = integrate_fourier_cos(_stacked(FOURIER_ROWS), FOURIER_X, HALFLINE)
-        assert got.shape == (len(FOURIER_ROWS), FOURIER_X.size)
-        for i, g in enumerate(FOURIER_ROWS):
-            for j, x in enumerate(FOURIER_X):
-                alone = integrate_fourier_cos(g, float(x), HALFLINE)
-                assert got[i, j] == pytest.approx(alone, rel=1e-15, abs=0.0)
-        one_row = integrate_fourier_cos(FOURIER_ROWS[1], FOURIER_X, HALFLINE)
-        assert one_row == pytest.approx(got[1], rel=1e-15, abs=0.0)
+    """The exact cosine transform of stored densities, spectral.cosine_transform."""
 
-    def test_scalar_result_is_float(self):
-        assert type(integrate_fourier_cos(FOURIER_ROWS[1], 1.0, HALFLINE)) is float
-        assert type(integrate_fourier_cos(FOURIER_ROWS[1], 0.0, HALFLINE)) is float
+    def test_batched_matches_scalar_calls(self, forward3):
+        got = cosine_transform(forward3[1], WEIGHTS, FOURIER_X)
+        assert got.shape == FOURIER_X.shape
+        alone = [cosine_transform(forward3[1], WEIGHTS, float(x)) for x in FOURIER_X]
+        assert np.array_equal(got, alone)
+        grid_shape = FOURIER_X[:6].reshape(2, 3)
+        assert np.array_equal(cosine_transform(forward3[1], WEIGHTS, grid_shape),
+                              got[:6].reshape(2, 3))
 
-    def test_negative_or_nan_x_rejected(self):
+    def test_block_boundary_bit_identical(self, forward3):
+        """x split across blocks of the transform gives the single-x values."""
+        x = np.linspace(0.0, 35.0, spectral._X_BLOCK + 3)
+        got = cosine_transform(forward3[1], WEIGHTS, x)
+        alone = [cosine_transform(forward3[1], WEIGHTS, float(v)) for v in x]
+        assert np.array_equal(got, alone)
+
+    @pytest.mark.parametrize("x", ORACLE_X)
+    def test_matches_gauss_legendre_oracle(self, forward3, x):
+        got = cosine_transform(forward3[1], WEIGHTS, x)
+        assert got == pytest.approx(cosine_oracle(forward3[1], WEIGHTS, x), rel=0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("x", [83.0, 200.0, 1000.0])
+    def test_tail_series_against_panels(self, forward3, x):
+        """The tail past k_max: the series from K x against oracle panels to
+        K x + 4000, then three series terms."""
+        k_max = forward3[1][0].grid.k_max
+        got = sum(w * spectral._power_tail(d._tail_coef, d.tail_exponent, k_max, np.array([x]))[0]
+                  for w, d in zip(WEIGHTS, forward3[1]))
+        assert got == pytest.approx(cosine_oracle_tail(forward3[1], WEIGHTS, x), rel=0.0, abs=1e-19)
+
+    def test_linearity(self, forward3):
+        """One transform of the combined row is the weighted sum of the
+        per-iterate transforms."""
+        combined = cosine_transform(forward3[1], WEIGHTS, FOURIER_X)
+        parts = sum(w * cosine_transform([d], [1.0], FOURIER_X)
+                    for w, d in zip(WEIGHTS, forward3[1]))
+        assert np.max(np.abs(combined - parts)) <= 1e-15 * np.max(np.abs(combined))
+
+    def test_scalar_result_is_float(self, forward3):
+        assert type(cosine_transform(forward3[1], WEIGHTS, 1.0)) is float
+        assert type(cosine_transform(forward3[1], WEIGHTS, 0.0)) is float
+
+    def test_negative_or_nan_x_rejected(self, forward3):
         with pytest.raises(ValueError):
-            integrate_fourier_cos(FOURIER_ROWS[0], -1.0, HALFLINE)
+            cosine_transform(forward3[1], WEIGHTS, -1.0)
         with pytest.raises(ValueError):
-            integrate_fourier_cos(_stacked(FOURIER_ROWS), np.array([1.0, -0.5]), HALFLINE)
+            cosine_transform(forward3[1], WEIGHTS, np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
-            integrate_fourier_cos(FOURIER_ROWS[0], np.array([1.0, np.nan]), HALFLINE)
+            cosine_transform(forward3[1], WEIGHTS, np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize("x", [math.inf, np.array([1.0, np.inf])])
-    def test_infinite_x_rejected(self, x):
-        """An infinite x is an argument error, not a NonFiniteIntegrand."""
+    def test_infinite_x_rejected(self, forward3, x):
+        """An infinite x is an argument error."""
         with pytest.raises(ValueError, match="finite"):
-            integrate_fourier_cos(FOURIER_ROWS[0], x, HALFLINE)
+            cosine_transform(forward3[1], WEIGHTS, x)
 
-    def test_single_unconverged_row(self, monkeypatch):
-        # the first row stops at panel 8 and the second would need 41
-        monkeypatch.setattr(quadrature, "_MAX_OSC_PANELS", 12)
-        assert integrate_fourier_cos(FOURIER_ROWS[0], 1.0, HALFLINE) > 0
-        with pytest.raises(ToleranceNotMet):
-            integrate_fourier_cos(_stacked(FOURIER_ROWS), np.array([1.0]), HALFLINE)
+    @pytest.mark.parametrize("x", [5e-324, 1e306])
+    def test_subnormal_or_overflowing_x_rejected(self, forward3, x):
+        """A subnormal x has too few bits for its phases, and k_max x must be finite."""
+        with pytest.raises(ValueError, match="finite"):
+            cosine_transform(forward3[1], WEIGHTS, x)
+
+    def test_tiny_x_approaches_x_zero(self, forward3):
+        at_zero = cosine_transform(forward3[1], WEIGHTS, 0.0)
+        tiny = cosine_transform(forward3[1], WEIGHTS, np.array([1e-300, np.finfo(float).tiny]))
+        assert tiny == pytest.approx(at_zero, rel=0.0, abs=1e-15)
+
+    def test_weights_and_grid_must_match(self, forward3):
+        with pytest.raises(ValueError):
+            cosine_transform(forward3[1], WEIGHTS[:2], 1.0)
+        nodes = SpectralGrid.geometric().doubled().nodes
+        other = SpectralDensity(SpectralGrid(nodes), np.exp(-nodes), 1.0)
+        with pytest.raises(ValueError, match="one grid"):
+            cosine_transform([forward3[1][0], other], [1.0, 1.0], 1.0)
+
+    def test_slow_tail_diverges(self):
+        slow = _sampled(lambda k: 1.0 / np.sqrt(1.0 + k))
+        assert slow.tail_exponent > -1.0
+        with pytest.raises(TailDivergence):
+            cosine_transform([slow], [1.0], 1.0)
 
     def test_exponential_pair(self):
-        # int_0^inf cos(kx) e^{-k} dk = 1/(1+x^2)
+        """int_0^inf cos(kx) e^{-k} dk = 1/(1+x^2), to the spline's
+        interpolation error of e^{-k} (about 1e-7)."""
+        density = _sampled(lambda k: np.exp(-k))
         for x in (0.5, 1.0, 3.0):
-            got = integrate_fourier_cos(lambda k: np.exp(-k), x, HALFLINE)
-            assert got == pytest.approx(1.0 / (1.0 + x * x), abs=1e-8)
+            got = cosine_transform([density], [1.0], x)
+            assert got == pytest.approx(1.0 / (1.0 + x * x), abs=1e-6)
 
     def test_lorentzian_pair(self):
-        got = integrate_fourier_cos(lambda k: 1.0 / (1.0 + k * k), 1.0, HALFLINE)
-        assert got == pytest.approx(0.5 * math.pi * math.exp(-1.0), abs=1e-8)
+        density = _sampled(lambda k: 1.0 / (1.0 + k * k))
+        got = cosine_transform([density], [1.0], 1.0)
+        assert got == pytest.approx(0.5 * math.pi * math.exp(-1.0), abs=1e-6)
 
-    def test_x_zero_matches_halfline(self):
-        f = lambda k: 1.0 / (1.0 + k * k) ** 2
-        a = integrate_fourier_cos(f, 0.0, HALFLINE)
-        b = integrate_halfline(f, HALFLINE)
-        assert abs(a - b) <= 2 * (HALFLINE.abs_tol + HALFLINE.rel_tol * abs(b))
+    def test_x_zero_matches_halfline(self, forward3):
+        """At x = 0 the transform is the plain integral of each stored density
+        (the half-line rule fits each power-law tail exactly only on its own);
+        at 64 nodes per panel the rule itself is 5e-11 off, at 256 2e-13."""
+        quad = replace(default_density_quad(), node_count=256)
+        halfline = integrate_halfline(_stack(forward3[1]), quad)
+        assert cosine_transform(forward3[1], WEIGHTS, 0.0) == pytest.approx(
+            np.dot(WEIGHTS, halfline), rel=0.0, abs=1e-11)
 
     def test_density_vs_riemann_oracle(self, forward3):
-        """Oscillatory transform of a sampled density against a midpoint
-        Riemann sum with 1e6 panels.  The Riemann rule's own discretization
-        error floors the comparison near 1e-6."""
+        """Transform of a sampled density against a midpoint Riemann sum
+        with 1e6 panels.  The Riemann rule's own discretization error floors
+        the comparison near 1e-6."""
         e0 = forward3[1][0]
         x = 2.0
-        got = integrate_fourier_cos(e0, x, HALFLINE)
+        got = cosine_transform([e0], [1.0], x)
         edges = np.linspace(0.0, 4000.0, 1_000_001)
         mid = 0.5 * (edges[:-1] + edges[1:])
         riemann = float(np.sum(np.cos(mid * x) * e0(mid)) * (edges[1] - edges[0]))
