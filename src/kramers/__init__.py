@@ -40,6 +40,7 @@ from .spectral import (
     SpectralDensity,
     SpectralGrid,
     cosine_transform,
+    weighted_sum,
 )
 
 __version__ = "0.1.0"

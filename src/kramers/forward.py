@@ -133,7 +133,7 @@ def apply_operator(
 
     integrals = (2.0 / SQRT_PI) * integrate_halfline(g, quad, left=left)
     values = kind.sign * integrals / (math.pi * kern.t_n(2, k))
-    return e_prev.map(values[1:], values[0])
+    return SpectralDensity(e_prev.grid, values[1:], values[0])
 
 
 def _build_series(kind: SeriesKind, order, kern, grid, quad):

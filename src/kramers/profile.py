@@ -19,10 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import build_series_fwd, default_density_quad, slip_velocity
+from .forward import build_series_fwd, check_finite, default_density_quad, slip_velocity
 from .kernels import KernelSuite
-from .quadrature import QuadratureSpec, integrate_halfline
-from .spectral import ProblemConfig, SeriesExpansion, SpectralDensity, _stack, cosine_transform
+from .quadrature import integrate_halfline
+from .spectral import (
+    ProblemConfig,
+    SeriesExpansion,
+    SpectralDensity,
+    cosine_transform,
+    weighted_sum,
+)
 
 __all__ = [
     "EXACT_SLIP_DIFFUSE",
@@ -85,6 +91,14 @@ class DistributionSlice:
     values: np.ndarray
 
 
+def _series_sum(densities: list[SpectralDensity], q: float, g_v: float, scale: float):
+    """``scale * sum_n q^n E_n`` as one density; g_v finite, q in [0, 1]."""
+    check_finite(g_v, "gradient")
+    if not (0.0 <= q <= 1.0):
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    return weighted_sum(densities, [scale * q**n for n in range(len(densities))])
+
+
 def velocity_correction(
     densities: list[SpectralDensity],
     q: float,
@@ -95,15 +109,20 @@ def velocity_correction(
 
     ``x`` may be a scalar, which gives a float, or an array, which gives an
     array of the same shape.  The iterates combine with their weights q^n
-    before one exact cosine transform (``spectral.cosine_transform``).
+    (``spectral.weighted_sum``) before one exact cosine transform.
     """
-    weights = [q**n for n in range(len(densities))]
-    return g_v * (2.0 - q) / math.pi * cosine_transform(densities, weights, x)
+    total = _series_sum(densities, q, g_v, 1.0)
+    return g_v * (2.0 - q) / math.pi * cosine_transform(total, x)
 
 
 def _forward_build(config: ProblemConfig, kern, series, densities):
+    """The prebuilt forward series of ``config.order`` and its iterates, or a new build."""
     if series is None or densities is None:
-        series, densities = build_series_fwd(config.order, kern, quad=config.quad)
+        return build_series_fwd(config.order, kern, quad=config.quad)
+    order = config.order
+    if series.kind != "forward" or series.order != order or len(densities) != order + 1:
+        raise ValueError(f"need the forward series of order {order} and its iterates, got "
+                         f"{series.kind} order {series.order} with {len(densities)} iterates")
     return series, densities
 
 
@@ -150,37 +169,25 @@ def wall_velocity(
     return v_sl + velocity_correction(densities, q, g_v, 0.0)
 
 
-def combined_density(densities: list[SpectralDensity], q: float, g_v: float):
-    """Total spectral density E(k) = 2 g_v (2-q) sum_n q^n E_n(k), as a callable."""
-    pref = 2.0 * g_v * (2.0 - q)
-    rows = _stack(densities)
-
-    def total(k):
-        return pref * sum(q**n * e_n for n, e_n in enumerate(rows(k)))
-
-    return total
+def combined_density(densities: list[SpectralDensity], q: float, g_v: float) -> SpectralDensity:
+    """Total spectral density E(k) = 2 g_v (2-q) sum_n q^n E_n(k), one density."""
+    return _series_sum(densities, q, g_v, 2.0 * g_v * (2.0 - q))
 
 
-def boundary_distribution(
-    density_total,
-    mu_nodes,
-    quad: QuadratureSpec | None = None,
-) -> DistributionSlice:
+def boundary_distribution(density: SpectralDensity, mu_nodes) -> DistributionSlice:
     """Wall boundary value h_c(0, mu) = (1/pi) int_0^oo E(k)/(1 + k^2 mu^2) dk.
 
-    ``density_total`` is the assembled E(k) callable, for example
-    combined_density; the result depends on mu^2 only, so one slice serves
-    both signs of mu.  All mu are the rows of one row-valued
-    integrate_halfline call, each under the scalar rule.  ``quad`` defaults
-    to ``default_density_quad()``.
+    ``density`` is E(k), for example combined_density; the result depends
+    on mu^2 only, so one slice serves both signs of mu.  All mu are the rows
+    of one row-valued integrate_halfline call under
+    ``default_density_quad(density.grid.k_max)``, each under the scalar
+    rule.  A NaN mu raises ValueError.
     """
-    quad = quad or default_density_quad()
     mu_nodes = np.asarray(mu_nodes, dtype=float)
-    mu = mu_nodes[:, None]
-    values = (
-        integrate_halfline(lambda k: density_total(k) / (1.0 + k * k * mu * mu), quad)
-        / math.pi
-    )
+    if np.isnan(mu_nodes).any():
+        raise ValueError("mu must not be NaN")
+    mu, quad = mu_nodes[:, None], default_density_quad(density.grid.k_max)
+    values = integrate_halfline(lambda k: density(k) / (1.0 + k * k * mu * mu), quad) / math.pi
     return DistributionSlice(mu_nodes=mu_nodes, values=values)
 
 
@@ -190,26 +197,20 @@ def phi_n(
     mu: float,
     series: SeriesExpansion,
     densities: list[SpectralDensity],
-    quad: QuadratureSpec | None = None,
 ) -> complex:
     """Spectral density of the distribution function at order n.
 
     Order 0:   (E_0(k) + mu^2 - V_0 |mu|) / (1 + i k mu)
-    Order n>0: (E_n(k) - V_n |mu| - (|mu|/pi) int E_{n-1}(k1)/(1+k1^2 mu^2) dk1)
-               / (1 + i k mu)
+    Order n>0: (E_n(k) - V_n |mu| - |mu| h_{n-1}(mu)) / (1 + i k mu), with
+               h_{n-1}(mu) = (1/pi) int E_{n-1}(k1)/(1+k1^2 mu^2) dk1 the
+               boundary_distribution of E_{n-1}
     """
     if n < 0 or n > series.order or n >= len(densities):
         raise ValueError(f"order {n} exceeds the built series")
-    quad = quad or default_density_quad(densities[0].grid.k_max)
     amu = abs(mu)
     numerator = densities[n](k) - series.coefficients[n] * amu
     if n == 0:
         numerator += mu * mu
     else:
-        e_prev = densities[n - 1]
-        numerator -= (
-            amu
-            / math.pi
-            * integrate_halfline(lambda k1: e_prev(k1) / (1.0 + k1 * k1 * mu * mu), quad)
-        )
+        numerator -= amu * boundary_distribution(densities[n - 1], [mu]).values[0]
     return numerator / (1.0 + 1j * k * mu)

@@ -4,10 +4,10 @@ The continuous spectral variable k is discretized on a geometric grid; the
 finite k -> 0 limit of each density is stored separately (after pole removal
 the densities are regular at the origin).  Between nodes the density is a
 not-a-knot cubic spline; beyond the last node it continues as the power law
-fitted on the last decade of samples, so a density behaves as a callable on
-all of [0, oo) and can be fed straight to the half-line integrator.  Iterates
-on one grid can also be evaluated together, as the rows of one callable, and
-their weighted sum has an exact cosine transform (``cosine_transform``).
+fitted on the last decade of samples, so a density behaves as an even
+callable of k and can be fed straight to the half-line integrator.  A
+weighted sum of iterates on one grid is again a density (``weighted_sum``),
+and every density has an exact cosine transform (``cosine_transform``).
 """
 from __future__ import annotations
 
@@ -25,6 +25,7 @@ __all__ = [
     "SeriesExpansion",
     "ProblemConfig",
     "GridTooCoarse",
+    "weighted_sum",
     "cosine_transform",
 ]
 
@@ -107,33 +108,16 @@ def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _spline_eval(knots: np.ndarray, coef: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """The spline with coefficients ``coef`` (``(4, *rows, intervals)``) at
-    the 1-D points k, as ``(*rows, k.size)``; the end pieces extrapolate."""
+    """The spline with coefficients ``coef`` (``(4, intervals)``) at the 1-D
+    points k; the end pieces extrapolate."""
     i = np.clip(np.searchsorted(knots, k, side="right") - 1, 0, knots.size - 2)
     t = k - knots[i]
-    c = np.take(coef, i, axis=-1)
+    c = coef[:, i]
     return ((c[0] * t + c[1]) * t + c[2]) * t + c[3]
 
 
-def _evaluate(knots, coef, tail_coef, tail_exponent, k) -> np.ndarray:
-    """_spline_eval on [0, knots[-1]] and the power-law tail past it, at
-    points k of any shape, as ``(*rows, *k.shape)``.
-
-    The tail parameters are arrays of shape ``rows``.  Every row gets the
-    same arithmetic as it would alone.
-    """
-    k = np.asarray(k, dtype=float)
-    flat = k.ravel()
-    out = _spline_eval(knots, coef, flat)
-    past = flat > knots[-1]
-    if past.any():
-        base = flat[past] / knots[-1]
-        out[..., past] = tail_coef[..., None] * base ** tail_exponent[..., None]
-    return out.reshape(out.shape[:-1] + k.shape)
-
-
 class SpectralDensity:
-    """One Neumann iterate E_n(k), sampled on a SpectralGrid.
+    """One Neumann iterate E_n(k), or a ``weighted_sum`` of them, on a SpectralGrid.
 
     Parameters
     ----------
@@ -141,6 +125,10 @@ class SpectralDensity:
     values : array of samples aligned with ``grid.nodes``
     value_at_zero : float
         The finite limit at k = 0 (computed analytically, not extrapolated).
+
+    Past k_max the density is the sum of the power laws ``c (k/k_max)^p`` in
+    ``tails``: none where the last decade of samples is negligible or
+    changes sign, else the one fitted there.
     """
 
     def __init__(self, grid: SpectralGrid, values, value_at_zero: float):
@@ -156,29 +144,30 @@ class SpectralDensity:
         self._coef = _spline_coefficients(
             self._knots, np.concatenate(([self.value_at_zero], values))
         )
-        self._tail_coef, self._tail_exponent = self._fit_tail()
+        self.tails = self._fit_tail()
 
-    def _fit_tail(self):
+    def _fit_tail(self) -> tuple[tuple[float, float], ...]:
         k = self.grid.nodes
         mask = k >= self.grid.k_max / 10.0
         kk, vv = k[mask], self.values[mask]
-        tiny = 1e-300
         if np.max(np.abs(vv)) < 1e-14 or np.any(vv * vv[-1] <= 0):
-            return 0.0, -2.0
-        slope, _ = np.polyfit(np.log(kk), np.log(np.abs(vv) + tiny), 1)
+            return ()
+        slope, _ = np.polyfit(np.log(kk), np.log(np.abs(vv) + 1e-300), 1)
         # anchor the power law at the last sample so the tail is continuous
-        return float(self.values[-1]), float(slope)
-
-    @property
-    def tail_exponent(self) -> float:
-        """Fitted decay power p of |E(k)| ~ k^p on the last decade."""
-        return self._tail_exponent
+        return ((float(self.values[-1]), float(slope)),)
 
     def __call__(self, k):
-        out = _evaluate(
-            self._knots, self._coef, np.array(self._tail_coef), np.array(self._tail_exponent), k
-        )
-        return float(out) if np.ndim(k) == 0 else out
+        """E(|k|): a float for a scalar k, else an array of k's shape; NaN k is a ValueError."""
+        k = np.asarray(k, dtype=float)
+        if np.isnan(k).any():
+            raise ValueError("k must not be NaN")
+        flat = np.abs(k).ravel()
+        out = _spline_eval(self._knots, self._coef, flat)
+        past = flat > self._knots[-1]
+        if past.any():
+            base = flat[past] / self._knots[-1]
+            out[past] = sum(c * base**p for c, p in self.tails)
+        return float(out[0]) if k.ndim == 0 else out.reshape(k.shape)
 
     def self_check(self):
         """Interpolate from every other node and compare on the held-out ones.
@@ -194,78 +183,73 @@ class SpectralDensity:
         if err > 1e-5 * scale:
             raise GridTooCoarse(f"interpolation self-check error {err / scale:.2e} exceeds 1e-5")
 
-    def map(self, values, value_at_zero: float) -> "SpectralDensity":
-        """New density on the same grid."""
-        return SpectralDensity(self.grid, values, value_at_zero)
 
+def weighted_sum(densities, weights) -> SpectralDensity:
+    """``sum_n weights[n] E_n(k)`` as one density on the grid of ``densities``.
 
-def _check_one_grid(densities: list[SpectralDensity]) -> None:
+    A spline is linear in its samples, so the samples, the value at zero and
+    the spline coefficients add up as they are, without a new spline solve;
+    the tails join, each scaled by its weight.  One density of weight 1 is
+    itself bit for bit.  Raises ValueError for no densities, a weight count
+    that does not match, a non-finite weight or densities on different grids.
+    """
+    densities, weights = list(densities), [float(w) for w in weights]
+    if not densities or len(weights) != len(densities) or not all(map(math.isfinite, weights)):
+        raise ValueError(f"need one finite weight per density, got {weights} for {len(densities)}")
     first = densities[0]
     if any(not np.array_equal(d.grid.nodes, first.grid.nodes) for d in densities[1:]):
         raise ValueError("the densities must share one grid")
+    total = object.__new__(SpectralDensity)
+    total.grid, total._knots = first.grid, first._knots
+    total.values = sum(w * d.values for w, d in zip(weights, densities))
+    total.value_at_zero = sum(w * d.value_at_zero for w, d in zip(weights, densities))
+    total._coef = sum(w * d._coef for w, d in zip(weights, densities))
+    total.tails = tuple((w * c, p) for w, d in zip(weights, densities)
+                        for c, p in d.tails if w * c != 0.0)
+    return total
 
 
-def _stack(densities: list[SpectralDensity]):
-    """The iterates ``densities`` as one row-valued callable.
+def cosine_transform(density: SpectralDensity, x) -> float | np.ndarray:
+    """``int_0^oo E(k) cos(kx) dk``, exact for the stored ``density`` at
+    every finite x >= 0.
 
-    ``f(k)`` returns ``(len(densities), *k.shape)`` values, row n equal bit
-    for bit to ``densities[n](k)``.  A spline is linear in its samples, so
-    the rows simply stack each iterate's own coefficients and tail; all
-    iterates must share one grid.
-    """
-    _check_one_grid(densities)
-    first = densities[0]
-    coef = np.stack([d._coef for d in densities], axis=1)
-    tail_coef = np.array([d._tail_coef for d in densities])
-    tail_exponent = np.array([d._tail_exponent for d in densities])
-    return lambda k: _evaluate(first._knots, coef, tail_coef, tail_exponent, k)
-
-
-def cosine_transform(densities: list[SpectralDensity], weights, x) -> float | np.ndarray:
-    """``int_0^oo sum_n weights[n] E_n(k) cos(kx) dk``, exact for the stored
-    iterates ``densities`` (one grid) at every finite x >= 0.
-
-    The transform is linear, so the spline coefficients combine into one
-    row first.  On a knot piece of width h it is integration by parts,
+    On a knot piece of width h it is integration by parts,
     ``[s sin/x + s' cos/x^2 - s'' sin/x^3 - s''' cos/x^4]`` over the piece
     ends (Filon, Proc. R. Soc. Edinburgh 49, 1928, 38), where x h > 1, and
     the 8-node Gauss-Legendre rule, exact to rounding for a cubic times
     cos(kx) at phase <= 1, elsewhere; x = 0 is the exact integral of the
-    cubics.  Each iterate's own power law c (k/K)^p past K = k_max adds its
-    tail (``_power_tail``).
+    cubics.  Each power law c (k/K)^p of the tail past K = k_max adds its
+    closed form (``_power_tail``).
 
     ``x`` may be a scalar, which gives a float, or an array, which gives an
     array of the same shape; every x gets the same arithmetic whatever else
     is in the array.  The x go in fixed-size blocks, so memory does not
-    grow with their number.  Raises ValueError for an x that is negative,
-    non-finite, subnormal or so large that k_max x overflows, or for
-    weights or grids that do not match the densities, and TailDivergence
-    for a tail with p >= -1.
+    grow with their number, and a block evaluates the Gauss rule only on
+    the pieces its smallest x needs.  Raises ValueError for an x that is
+    negative, non-finite, subnormal or so large that k_max x overflows, and
+    TailDivergence for a tail with p >= -1.
     """
-    _check_one_grid(densities)
-    knots = densities[0]._knots
+    knots = density._knots
     xs = np.asarray(x, dtype=float)
     # a subnormal x carries too few bits for its phases kx, and kx must stay finite
     x_min, x_max = np.finfo(float).tiny, np.finfo(float).max / knots[-1]
     if not np.all((xs == 0.0) | ((xs >= x_min) & (xs <= x_max))):
         raise ValueError(f"x must be nonnegative and finite: 0, or in [{x_min:.4g}, "
                          f"{x_max:.4g}] for k_max = {knots[-1]:g}")
-    tails = [(w * d._tail_coef, d._tail_exponent) for w, d in zip(weights, densities, strict=True)]
-    tails = [(c, p) for c, p in tails if c != 0.0]
-    slow = [p for _, p in tails if p >= -1.0]
+    slow = [p for _, p in density.tails if p >= -1.0]
     if slow:
         raise TailDivergence(f"tail decay exponent {max(slow):.3f} >= -1")
 
     h = np.diff(knots)
-    c0, c1, c2, c3 = sum(w * d._coef for w, d in zip(weights, densities))
+    c0, c1, c2, c3 = density._coef
     # s, s', s'' and s''' at the two ends of each piece
     left = (c3, c2, 2.0 * c1, 6.0 * c0)
     right = (((c0 * h + c1) * h + c2) * h + c3, (3.0 * c0 * h + 2.0 * c1) * h + c2,
              6.0 * c0 * h + 2.0 * c1, 6.0 * c0)
     xi, omega = _gauss_legendre(8)
-    t = [0.5 * h * (1.0 + node) for node in xi]
-    nodes = [knots[:-1] + tm for tm in t]
-    weighted = [0.5 * h * wm * (((c0 * tm + c1) * tm + c2) * tm + c3) for tm, wm in zip(t, omega)]
+    t = 0.5 * h * (1.0 + xi[:, None])
+    nodes = knots[:-1] + t
+    weighted = 0.5 * h * omega[:, None] * (((c0 * t + c1) * t + c2) * t + c3)
 
     def ends(s, sin, cos, r):
         return r * ((s[0] - s[2] * r * r) * sin + r * (s[1] - s[3] * r * r) * cos)
@@ -277,12 +261,16 @@ def cosine_transform(densities: list[SpectralDensity], weights, x) -> float | np
         col = xb[:, None]
         r = 1.0 / np.maximum(col, 1.0 / h.max())  # 1/x wherever a piece takes the parts
         sin, cos = np.sin(col * knots), np.cos(col * knots)
-        parts = ends(right, sin[:, 1:], cos[:, 1:], r) - ends(left, sin[:, :-1], cos[:, :-1], r)
-        gauss = weighted[0] * np.cos(col * nodes[0])
-        for wm, km in zip(weighted[1:], nodes[1:]):
+        terms = ends(right, sin[:, 1:], cos[:, 1:], r) - ends(left, sin[:, :-1], cos[:, :-1], r)
+        # past the last piece with xb.min() h <= 1 every x of the block takes the parts
+        gaussian = np.flatnonzero(xb.min() * h <= 1.0)
+        m = gaussian[-1] + 1 if gaussian.size else 0
+        gauss = weighted[0, :m] * np.cos(col * nodes[0, :m])
+        for wm, km in zip(weighted[1:, :m], nodes[1:, :m]):
             gauss += wm * np.cos(col * km)
-        total = np.where(col * h > 1.0, parts, gauss).sum(axis=-1)
-        for c, p in tails:
+        terms[:, :m] = np.where(col * h[:m] > 1.0, terms[:, :m], gauss)
+        total = terms.sum(axis=-1)
+        for c, p in density.tails:
             total += _power_tail(c, p, knots[-1], xb)
         out[start:start + _X_BLOCK] = total
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)

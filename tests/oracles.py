@@ -4,7 +4,6 @@ import math
 import numpy as np
 
 from kramers.quadrature import _gauss_legendre
-from kramers.spectral import _stack
 
 # Gauss-Legendre nodes per sub-panel and the widest phase k x a sub-panel spans:
 # the rule's relative error for cos at half-phase 8 is about 8^64/64! ~ 5e-32
@@ -27,17 +26,19 @@ def _gauss_points(a, b, width):
 
 
 def _weighted_sum(densities, weights, k):
-    return np.asarray(weights, dtype=float) @ _stack(densities)(k)
+    """sum_n weights[n] E_n(k), each iterate through its own __call__."""
+    return sum(w * d(k) for w, d in zip(weights, densities))
 
 
 def cosine_oracle_tail(densities, weights, x: float) -> float:
     """``int_K^oo sum_n weights[n] E_n(k) cos(kx) dk`` past the grid edge K:
-    c K/(-p-1) per iterate at x = 0; else the oracle rule on [K, L] with
-    L = K + 4000/x, then three terms of the asymptotic series at L."""
+    c K/(-p-1) per power law of each iterate's tail at x = 0; else the
+    oracle rule on [K, L] with L = K + 4000/x, then three terms of the
+    asymptotic series at L."""
     k_max = densities[0].grid.k_max
     if x == 0.0:
-        return math.fsum(w * d(k_max) * k_max / (-d.tail_exponent - 1.0)
-                         for w, d in zip(weights, densities))
+        return math.fsum(w * d(k_max) * k_max / (-p - 1.0)
+                         for w, d in zip(weights, densities) for _, p in d.tails)
     length = TAIL_PHASE / x
     t, w = _gauss_points(np.array([0.0]), np.array([length]), ORACLE_PHASE / x)
     # each phase as K x + t x: k x itself would carry the rounding of k, ~ K x 1e-16
@@ -53,11 +54,11 @@ def cosine_oracle_tail(densities, weights, x: float) -> float:
     z = 1.0 / (end * x)
     series = 0.0
     for wn, d in zip(weights, densities):
-        p = d.tail_exponent
-        b1 = -p * z
-        b2 = b1 * (1.0 - p) * z
-        b3 = b2 * (2.0 - p) * z
-        series += wn * d(end) / x * (cos_end * (b1 - b3) - sin_end * (1.0 - b2))
+        for _, p in d.tails:
+            b1 = -p * z
+            b2 = b1 * (1.0 - p) * z
+            b3 = b2 * (2.0 - p) * z
+            series += wn * d(end) / x * (cos_end * (b1 - b3) - sin_end * (1.0 - b2))
     return panels + series
 
 

@@ -16,7 +16,7 @@ from kramers.forward import (
 )
 from kramers.kernels import SQRT_PI
 from kramers.quadrature import integrate_halfline
-from kramers.spectral import SeriesExpansion
+from kramers.spectral import SeriesExpansion, SpectralDensity
 
 # mpmath (30 digits) from the closed-form double integral for the first
 # correction coefficient
@@ -42,7 +42,8 @@ class TestZerothIterate:
     def test_tail_exponent(self, forward3):
         # E_0 decays like k^-2 with a logarithmic correction, so the fitted
         # power over the last decade sits noticeably above -2
-        assert forward3[1][0].tail_exponent <= -1.5
+        ((_, p),) = forward3[1][0].tails
+        assert p <= -1.5
 
 
 class TestCoefficients:
@@ -64,7 +65,7 @@ class TestCoefficients:
     def test_linearity(self, kern, grid, forward3):
         quad = default_density_quad(grid.k_max)
         e0 = forward3[1][0]
-        scaled = e0.map(3.0 * e0(grid.nodes), value_at_zero=3.0 * e0(0.0))
+        scaled = SpectralDensity(grid, 3.0 * e0(grid.nodes), 3.0 * e0(0.0))
         assert coefficient(FORWARD, kern, scaled, quad) == pytest.approx(
             3.0 * coefficient(FORWARD, kern, e0, quad), rel=1e-9
         )
@@ -120,7 +121,7 @@ class TestOperator:
     def test_linearity(self, kern, grid, forward3):
         quad = default_density_quad(grid.k_max)
         e0 = forward3[1][0]
-        scaled = e0.map(-2.0 * e0(grid.nodes), value_at_zero=-2.0 * e0(0.0))
+        scaled = SpectralDensity(grid, -2.0 * e0(grid.nodes), -2.0 * e0(0.0))
         a = apply_operator(FORWARD, kern, scaled, quad)
         b = forward3[1][1]
         assert np.allclose(a(grid.nodes), -2.0 * b(grid.nodes), rtol=1e-8, atol=1e-12)

@@ -16,7 +16,7 @@ from kramers.forward import (
 )
 from kramers.kernels import SQRT_PI
 from kramers.quadrature import integrate_halfline
-from kramers.spectral import SeriesExpansion
+from kramers.spectral import SeriesExpansion, SpectralDensity
 
 
 class TestZerothIterate:
@@ -47,7 +47,7 @@ class TestCoefficients:
     def test_linearity(self, kern, grid, inverse3):
         quad = default_density_quad(grid.k_max)
         e0 = inverse3[1][0]
-        scaled = e0.map(4.0 * e0(grid.nodes), value_at_zero=4.0 * e0(0.0))
+        scaled = SpectralDensity(grid, 4.0 * e0(grid.nodes), 4.0 * e0(0.0))
         assert coefficient(INVERSE, kern, scaled, quad) == pytest.approx(
             4.0 * coefficient(INVERSE, kern, e0, quad), rel=1e-9
         )
@@ -88,7 +88,7 @@ class TestOperator:
     def test_linearity(self, kern, grid, inverse3):
         quad = default_density_quad(grid.k_max)
         e0 = inverse3[1][0]
-        scaled = e0.map(0.5 * e0(grid.nodes), value_at_zero=0.5 * e0(0.0))
+        scaled = SpectralDensity(grid, 0.5 * e0(grid.nodes), 0.5 * e0(0.0))
         a = apply_operator(INVERSE, kern, scaled, quad)
         b = inverse3[1][1]
         assert np.allclose(a(grid.nodes), 0.5 * b(grid.nodes), rtol=1e-8, atol=1e-12)

@@ -19,7 +19,7 @@ from kramers.profile import (
     wall_velocity,
 )
 from kramers.quadrature import integrate_halfline
-from kramers.spectral import ProblemConfig
+from kramers.spectral import ProblemConfig, SpectralDensity
 
 
 @pytest.fixture(scope="module")
@@ -187,6 +187,50 @@ class TestWall:
         assert got == pytest.approx(parts, rel=0.0, abs=1e-12)
 
 
+class TestPrebuiltSeries:
+    """A prebuilt series must be the forward series of the config's order:
+    an order-3 build under an order-1 config used to give the order-3 U(0),
+    2.37435, labelled order 1 (the order-1 value is 2.38387)."""
+
+    def test_order_must_match(self, forward3, kern):
+        config = ProblemConfig(q=0.5, order=1)
+        with pytest.raises(ValueError, match="order"):
+            full_profile(config, [0.0], kern, *forward3)
+        with pytest.raises(ValueError, match="order"):
+            wall_velocity(config, kern, *forward3)
+        assert full_profile(config, [0.0], kern).total[0] == pytest.approx(2.38387, abs=1e-5)
+
+    def test_iterate_count_must_match(self, forward3, kern):
+        series, densities = forward3
+        for call in (lambda d: full_profile(ProblemConfig(), [0.0], kern, series, d),
+                     lambda d: wall_velocity(ProblemConfig(), kern, series, d)):
+            with pytest.raises(ValueError, match="iterates"):
+                call(densities[:3])
+
+    def test_inverse_series_rejected(self, inverse3, kern):
+        with pytest.raises(ValueError, match="forward"):
+            full_profile(ProblemConfig(), [0.0], kern, *inverse3)
+        with pytest.raises(ValueError, match="forward"):
+            wall_velocity(ProblemConfig(), kern, *inverse3)
+
+
+class TestArguments:
+    @pytest.mark.parametrize("q, g_v", [(2.0, 1.0), (-0.5, 1.0), (math.nan, 1.0),
+                                        (0.5, math.nan), (0.5, math.inf)])
+    def test_drive_checked(self, forward3, q, g_v):
+        """q = 2 used to give -0.0, and a NaN q or g_v a NaN."""
+        with pytest.raises(ValueError):
+            velocity_correction(forward3[1], q, g_v, 0.0)
+        with pytest.raises(ValueError):
+            combined_density(forward3[1], q, g_v)
+
+    def test_nan_mu_rejected(self, forward3):
+        """A NaN mu used to raise the numerical-failure NonFiniteIntegrand."""
+        density = combined_density(forward3[1], 1.0, 1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            boundary_distribution(density, [0.5, math.nan])
+
+
 class TestQuadratureSettings:
     def test_config_quad_sets_only_the_build(self, forward3, kern, monkeypatch):
         """config.quad (the CLI's --nodes/--tol) reaches the series build of
@@ -220,12 +264,21 @@ class TestBoundaryDistribution:
         minus = boundary_distribution(density, -mu)
         assert np.allclose(plus.values, minus.values, rtol=1e-10)
 
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_wall_value_is_twice_the_wall_correction(self, forward3, q):
+        """h(0, 0) = 2 U_c(0): the half-line rule's one tail fit of the sum
+        leaves 8.1e-8 at q = 1 and 6.0e-8 at q = 0.5; this guards that gap."""
+        density = combined_density(forward3[1], q, 1.0)
+        h00 = boundary_distribution(density, [0.0]).values[0]
+        assert abs(h00 - 2.0 * velocity_correction(forward3[1], q, 1.0, 0.0)) <= 1e-7
+
     def test_combined_density_prefactor(self, forward3):
         q, g_v = 0.5, 2.0
         density = combined_density(forward3[1], q, g_v)
         manual = 2.0 * g_v * (2.0 - q) * sum(
             q**n * e_n(1.3) for n, e_n in enumerate(forward3[1])
         )
+        assert isinstance(density, SpectralDensity)
         assert density(1.3) == pytest.approx(manual, rel=1e-12)
 
 
@@ -242,3 +295,19 @@ class TestSpectralPhase:
         v0 = forward3[0].coefficients[0]
         rhs = abs(e0(k) + mu * mu - v0 * abs(mu)) ** 2
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_conjugate_in_k(self, forward3, n):
+        """phi_n(-k, mu) = conj(phi_n(k, mu)), because E_n is even in k; it
+        used to miss by 0.11 at n = 0, k = 0.5, mu = 0.4."""
+        for k, mu in ((0.5, 0.4), (2.0, -0.7), (3000.0, 1.3)):
+            plus = phi_n(n, k, mu, forward3[0], forward3[1])
+            assert phi_n(n, -k, mu, forward3[0], forward3[1]) == plus.conjugate()
+
+    def test_integral_from_boundary_distribution(self, forward3):
+        """For n > 0 the mu-integral term is |mu| h(mu) of E_{n-1}."""
+        series, densities = forward3
+        k, mu = 0.3, 0.4
+        h = boundary_distribution(densities[1], [mu]).values[0]
+        want = (densities[2](k) - series.coefficients[2] * mu - mu * h) / (1.0 + 1j * k * mu)
+        assert phi_n(2, k, mu, series, densities) == pytest.approx(want, rel=1e-15, abs=0.0)

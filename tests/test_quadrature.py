@@ -17,7 +17,7 @@ from kramers.quadrature import (
     integrate_halfline,
 )
 from kramers.forward import default_density_quad
-from kramers.spectral import SpectralDensity, SpectralGrid, _stack, cosine_transform
+from kramers.spectral import SpectralDensity, SpectralGrid, cosine_transform, weighted_sum
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -225,6 +225,12 @@ ORACLE_X = (0.01, 0.3, 1.0, 3.7, 10.0, 30.0)
 WEIGHTS = (1.0, 0.5, 0.25, 0.125)
 
 
+@pytest.fixture(scope="module")
+def combined(forward3):
+    """The order-3 forward iterates summed with WEIGHTS."""
+    return weighted_sum(forward3[1], WEIGHTS)
+
+
 def _sampled(f):
     """f on the default grid as a density with f(0) at k = 0."""
     grid = SpectralGrid.geometric()
@@ -232,27 +238,36 @@ def _sampled(f):
 
 
 class TestFourierCos:
-    """The exact cosine transform of stored densities, spectral.cosine_transform."""
+    """The exact cosine transform of stored densities, spectral.cosine_transform,
+    here mostly of the order-3 forward iterates summed with WEIGHTS."""
 
-    def test_batched_matches_scalar_calls(self, forward3):
-        got = cosine_transform(forward3[1], WEIGHTS, FOURIER_X)
+    def test_batched_matches_scalar_calls(self, combined):
+        got = cosine_transform(combined, FOURIER_X)
         assert got.shape == FOURIER_X.shape
-        alone = [cosine_transform(forward3[1], WEIGHTS, float(x)) for x in FOURIER_X]
+        alone = [cosine_transform(combined, float(x)) for x in FOURIER_X]
         assert np.array_equal(got, alone)
         grid_shape = FOURIER_X[:6].reshape(2, 3)
-        assert np.array_equal(cosine_transform(forward3[1], WEIGHTS, grid_shape),
+        assert np.array_equal(cosine_transform(combined, grid_shape),
                               got[:6].reshape(2, 3))
 
-    def test_block_boundary_bit_identical(self, forward3):
+    def test_far_block_bit_identical(self, combined):
+        """A block of large x evaluates the Gauss rule on fewer pieces than a
+        block that holds x = 0, with the same values bit for bit."""
+        x = np.geomspace(100.0, 5e4, 40)
+        got = cosine_transform(combined, x)
+        assert np.array_equal(got, cosine_transform(combined, np.concatenate(([0.0], x)))[1:])
+        assert np.array_equal(got[:3], [cosine_transform(combined, float(v)) for v in x[:3]])
+
+    def test_block_boundary_bit_identical(self, combined):
         """x split across blocks of the transform gives the single-x values."""
         x = np.linspace(0.0, 35.0, spectral._X_BLOCK + 3)
-        got = cosine_transform(forward3[1], WEIGHTS, x)
-        alone = [cosine_transform(forward3[1], WEIGHTS, float(v)) for v in x]
+        got = cosine_transform(combined, x)
+        alone = [cosine_transform(combined, float(v)) for v in x]
         assert np.array_equal(got, alone)
 
     @pytest.mark.parametrize("x", ORACLE_X)
-    def test_matches_gauss_legendre_oracle(self, forward3, x):
-        got = cosine_transform(forward3[1], WEIGHTS, x)
+    def test_matches_gauss_legendre_oracle(self, forward3, combined, x):
+        got = cosine_transform(combined, x)
         assert got == pytest.approx(cosine_oracle(forward3[1], WEIGHTS, x), rel=0.0, abs=1e-14)
 
     @pytest.mark.parametrize("x", [83.0, 200.0, 1000.0])
@@ -260,81 +275,82 @@ class TestFourierCos:
         """The tail past k_max: the series from K x against oracle panels to
         K x + 4000, then three series terms."""
         k_max = forward3[1][0].grid.k_max
-        got = sum(w * spectral._power_tail(d._tail_coef, d.tail_exponent, k_max, np.array([x]))[0]
-                  for w, d in zip(WEIGHTS, forward3[1]))
+        got = sum(w * spectral._power_tail(c, p, k_max, np.array([x]))[0]
+                  for w, d in zip(WEIGHTS, forward3[1]) for c, p in d.tails)
         assert got == pytest.approx(cosine_oracle_tail(forward3[1], WEIGHTS, x), rel=0.0, abs=1e-19)
 
-    def test_linearity(self, forward3):
-        """One transform of the combined row is the weighted sum of the
+    def test_linearity(self, forward3, combined):
+        """The transform of the weighted sum is the weighted sum of the
         per-iterate transforms."""
-        combined = cosine_transform(forward3[1], WEIGHTS, FOURIER_X)
-        parts = sum(w * cosine_transform([d], [1.0], FOURIER_X)
+        whole = cosine_transform(combined, FOURIER_X)
+        parts = sum(w * cosine_transform(d, FOURIER_X)
                     for w, d in zip(WEIGHTS, forward3[1]))
-        assert np.max(np.abs(combined - parts)) <= 1e-15 * np.max(np.abs(combined))
+        assert np.max(np.abs(whole - parts)) <= 1e-15 * np.max(np.abs(whole))
 
-    def test_scalar_result_is_float(self, forward3):
-        assert type(cosine_transform(forward3[1], WEIGHTS, 1.0)) is float
-        assert type(cosine_transform(forward3[1], WEIGHTS, 0.0)) is float
+    def test_scalar_result_is_float(self, combined):
+        assert type(cosine_transform(combined, 1.0)) is float
+        assert type(cosine_transform(combined, 0.0)) is float
 
-    def test_negative_or_nan_x_rejected(self, forward3):
+    def test_negative_or_nan_x_rejected(self, combined):
         with pytest.raises(ValueError):
-            cosine_transform(forward3[1], WEIGHTS, -1.0)
+            cosine_transform(combined, -1.0)
         with pytest.raises(ValueError):
-            cosine_transform(forward3[1], WEIGHTS, np.array([1.0, -0.5]))
+            cosine_transform(combined, np.array([1.0, -0.5]))
         with pytest.raises(ValueError):
-            cosine_transform(forward3[1], WEIGHTS, np.array([1.0, np.nan]))
+            cosine_transform(combined, np.array([1.0, np.nan]))
 
     @pytest.mark.parametrize("x", [math.inf, np.array([1.0, np.inf])])
-    def test_infinite_x_rejected(self, forward3, x):
+    def test_infinite_x_rejected(self, combined, x):
         """An infinite x is an argument error."""
         with pytest.raises(ValueError, match="finite"):
-            cosine_transform(forward3[1], WEIGHTS, x)
+            cosine_transform(combined, x)
 
     @pytest.mark.parametrize("x", [5e-324, 1e306])
-    def test_subnormal_or_overflowing_x_rejected(self, forward3, x):
+    def test_subnormal_or_overflowing_x_rejected(self, combined, x):
         """A subnormal x has too few bits for its phases, and k_max x must be finite."""
         with pytest.raises(ValueError, match="finite"):
-            cosine_transform(forward3[1], WEIGHTS, x)
+            cosine_transform(combined, x)
 
-    def test_tiny_x_approaches_x_zero(self, forward3):
-        at_zero = cosine_transform(forward3[1], WEIGHTS, 0.0)
-        tiny = cosine_transform(forward3[1], WEIGHTS, np.array([1e-300, np.finfo(float).tiny]))
+    def test_tiny_x_approaches_x_zero(self, combined):
+        at_zero = cosine_transform(combined, 0.0)
+        tiny = cosine_transform(combined, np.array([1e-300, np.finfo(float).tiny]))
         assert tiny == pytest.approx(at_zero, rel=0.0, abs=1e-15)
 
     def test_weights_and_grid_must_match(self, forward3):
         with pytest.raises(ValueError):
-            cosine_transform(forward3[1], WEIGHTS[:2], 1.0)
+            weighted_sum(forward3[1], WEIGHTS[:2])
         nodes = SpectralGrid.geometric().doubled().nodes
         other = SpectralDensity(SpectralGrid(nodes), np.exp(-nodes), 1.0)
         with pytest.raises(ValueError, match="one grid"):
-            cosine_transform([forward3[1][0], other], [1.0, 1.0], 1.0)
+            weighted_sum([forward3[1][0], other], [1.0, 1.0])
 
     def test_slow_tail_diverges(self):
         slow = _sampled(lambda k: 1.0 / np.sqrt(1.0 + k))
-        assert slow.tail_exponent > -1.0
+        ((_, p),) = slow.tails
+        assert p > -1.0
         with pytest.raises(TailDivergence):
-            cosine_transform([slow], [1.0], 1.0)
+            cosine_transform(slow, 1.0)
 
     def test_exponential_pair(self):
         """int_0^inf cos(kx) e^{-k} dk = 1/(1+x^2), to the spline's
         interpolation error of e^{-k} (about 1e-7)."""
         density = _sampled(lambda k: np.exp(-k))
         for x in (0.5, 1.0, 3.0):
-            got = cosine_transform([density], [1.0], x)
+            got = cosine_transform(density, x)
             assert got == pytest.approx(1.0 / (1.0 + x * x), abs=1e-6)
 
     def test_lorentzian_pair(self):
         density = _sampled(lambda k: 1.0 / (1.0 + k * k))
-        got = cosine_transform([density], [1.0], 1.0)
+        got = cosine_transform(density, 1.0)
         assert got == pytest.approx(0.5 * math.pi * math.exp(-1.0), abs=1e-6)
 
-    def test_x_zero_matches_halfline(self, forward3):
+    def test_x_zero_matches_halfline(self, forward3, combined):
         """At x = 0 the transform is the plain integral of each stored density
         (the half-line rule fits each power-law tail exactly only on its own);
         at 64 nodes per panel the rule itself is 5e-11 off, at 256 2e-13."""
         quad = replace(default_density_quad(), node_count=256)
-        halfline = integrate_halfline(_stack(forward3[1]), quad)
-        assert cosine_transform(forward3[1], WEIGHTS, 0.0) == pytest.approx(
+        halfline = [integrate_halfline(d, quad) for d in forward3[1]]
+        assert cosine_transform(combined, 0.0) == pytest.approx(
             np.dot(WEIGHTS, halfline), rel=0.0, abs=1e-11)
 
     def test_density_vs_riemann_oracle(self, forward3):
@@ -343,7 +359,7 @@ class TestFourierCos:
         the comparison near 1e-6."""
         e0 = forward3[1][0]
         x = 2.0
-        got = cosine_transform([e0], [1.0], x)
+        got = cosine_transform(e0, x)
         edges = np.linspace(0.0, 4000.0, 1_000_001)
         mid = 0.5 * (edges[:-1] + edges[1:])
         riemann = float(np.sum(np.cos(mid * x) * e0(mid)) * (edges[1] - edges[0]))

@@ -12,7 +12,7 @@ from kramers.spectral import (
     SeriesExpansion,
     SpectralDensity,
     SpectralGrid,
-    _stack,
+    weighted_sum,
 )
 
 
@@ -73,7 +73,8 @@ class TestDensity:
         assert np.allclose(lorentz(k), 1.0 / (1.0 + k * k), rtol=1e-4, atol=1e-8)
 
     def test_tail_extension(self, lorentz):
-        assert lorentz.tail_exponent == pytest.approx(-2.0, abs=0.1)
+        ((_, p),) = lorentz.tails
+        assert p == pytest.approx(-2.0, abs=0.1)
         k = 1e4
         assert lorentz(k) == pytest.approx(1.0 / (1.0 + k * k), rel=0.05)
 
@@ -88,10 +89,24 @@ class TestDensity:
         with pytest.raises(GridTooCoarse):
             noisy.self_check()
 
-    def test_map_keeps_grid(self, grid, lorentz):
-        other = lorentz.map(2.0 * lorentz(grid.nodes), value_at_zero=2.0)
-        assert other.grid is grid
-        assert other(0.0) == 2.0
+    def test_no_tail_where_samples_change_sign(self, grid):
+        density = SpectralDensity(grid, np.cos(grid.nodes), value_at_zero=1.0)
+        assert density.tails == ()
+        assert density(np.array([2.0, 10.0]) * grid.k_max).tolist() == [0.0, 0.0]
+
+    def test_even_in_k(self, iterates):
+        """E_n(-k) used to extrapolate the first cubic piece: E_0(-0.5) was
+        -0.2485 against E_0(0.5) = -0.3604."""
+        k_max = iterates[0].grid.k_max
+        k = np.concatenate((np.geomspace(1e-5, 1e7, 301), [0.0, 0.5, k_max]))
+        for density in iterates:
+            assert np.array_equal(density(-k), density(k))
+            assert density(-0.5) == density(0.5)
+
+    @pytest.mark.parametrize("k", [math.nan, np.array([0.5, math.nan])])
+    def test_nan_k_rejected(self, lorentz, k):
+        with pytest.raises(ValueError, match="NaN"):
+            lorentz(k)
 
 
 @pytest.fixture(scope="module")
@@ -119,22 +134,51 @@ class TestSpline:
         assert np.max(np.abs(e1(k) - CubicSpline(knots, samples)(k))) <= 1e-15 * scale
 
 
-class TestStack:
-    def test_rows_equal_single_calls(self, iterates):
-        rows = _stack(iterates)
-        k_max = iterates[0].grid.k_max
-        k = np.concatenate(
-            (np.geomspace(1e-5, 1e7, 997), [0.0, 1.0, k_max, np.nextafter(k_max, np.inf)])
-        )
-        for points in (k, k[:996].reshape(12, 83), 0.5, 3.0 * k_max):
-            got = rows(points)
-            assert got.shape == (len(iterates), *np.shape(points))
-            assert np.array_equal(got, np.stack([np.asarray(d(points)) for d in iterates]))
+class TestWeightedSum:
+    WEIGHTS = (1.0, 0.5, 0.25, 0.125)
+
+    def test_keeps_grid(self, grid, lorentz):
+        other = weighted_sum([lorentz], [2.0])
+        assert other.grid is grid
+        assert other(0.0) == 2.0
+
+    def test_matches_sum_of_calls(self, iterates):
+        """On the nodes, between them and past k_max the sum is the weighted
+        sum of the iterates' own values, to 1e-15 relative at every point."""
+        nodes = iterates[0].grid.nodes
+        between = np.sqrt(nodes[1:] * nodes[:-1])
+        past = np.geomspace(np.nextafter(nodes[-1], np.inf), 1e8, 301)
+        for weights in (self.WEIGHTS, [3.0 * 0.7**n for n in range(4)]):
+            total = weighted_sum(iterates, weights)
+            for k in (np.concatenate(([0.0], nodes)), between, past):
+                want = sum(w * d(k) for w, d in zip(weights, iterates))
+                assert np.all(np.abs(total(k) - want) <= 1e-15 * np.abs(want))
+            assert total(0.0) == total.value_at_zero
+
+    def test_one_density_of_weight_one_is_itself(self, iterates):
+        for density in iterates:
+            alone = weighted_sum([density], [1.0])
+            assert np.array_equal(alone._coef, density._coef)
+            assert np.array_equal(alone.values, density.values)
+            assert alone.value_at_zero == density.value_at_zero
+            assert alone.tails == density.tails
 
     def test_rejects_mixed_grids(self, lorentz):
         other = SpectralGrid.geometric(count=64, k_max=100.0)
+        with pytest.raises(ValueError, match="one grid"):
+            weighted_sum([lorentz, SpectralDensity(other, np.ones(64), value_at_zero=1.0)],
+                         [1.0, 1.0])
+
+    @pytest.mark.parametrize("weights", [(), (1.0,), (1.0, 2.0, 3.0)])
+    def test_rejects_mismatched_lengths(self, lorentz, weights):
         with pytest.raises(ValueError):
-            _stack([lorentz, SpectralDensity(other, np.ones(64), value_at_zero=1.0)])
+            weighted_sum([lorentz, lorentz], weights)
+
+    def test_rejects_no_densities_and_non_finite_weights(self, lorentz):
+        with pytest.raises(ValueError):
+            weighted_sum([], [])
+        with pytest.raises(ValueError, match="finite"):
+            weighted_sum([lorentz], [math.nan])
 
 
 class TestSeries:
