@@ -16,16 +16,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .forward import (DiffuseLimitSingular, build_series_fwd, build_series_inv, check_finite,
-                      default_density_quad, gradient, slip_velocity)
-from .kernels import KernelSuite
+                      gradient, slip_velocity)
 from .profile import full_profile, wall_velocity
-from .quadrature import QuadratureError, QuadratureSpec
+from .quadrature import QuadratureError
 from .spectral import GridTooCoarse, ProblemConfig
 from .validation import report_json, report_lines, run_reference_checks
 
@@ -48,8 +46,6 @@ def _add_output(p: argparse.ArgumentParser) -> None:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--q", type=float, default=1.0, help="accommodation coefficient in [0, 1]")
     p.add_argument("--order", type=int, default=3, help="series truncation order N")
-    p.add_argument("--nodes", type=int, default=None, help="quadrature nodes per panel")
-    p.add_argument("--tol", type=float, default=None, help="quadrature relative tolerance")
     _add_output(p)
 
 
@@ -90,18 +86,6 @@ def _resolve_format(args) -> str:
     if args.format is not None:
         return args.format
     return "table" if sys.stdout.isatty() else "csv"
-
-
-def _quad_override(args) -> QuadratureSpec | None:
-    if args.nodes is None and args.tol is None:
-        return None
-    base = default_density_quad()
-    kw = {}
-    if args.nodes is not None:
-        kw["node_count"] = args.nodes
-    if args.tol is not None:
-        kw["rel_tol"] = args.tol
-    return replace(base, **kw)
 
 
 def _x_grid(args) -> np.ndarray:
@@ -150,31 +134,29 @@ def _run(args) -> int:
 
     # every argument is checked before the build; inverse has no gradient, and
     # its config checks q and order all the same
-    config = ProblemConfig(q=args.q, gradient=getattr(args, "gradient", 1.0), order=args.order,
-                           quad=_quad_override(args))
+    config = ProblemConfig(q=args.q, gradient=getattr(args, "gradient", 1.0), order=args.order)
     if args.command == "inverse":
         check_finite(args.slip, "slip velocity")
     x_nodes = _x_grid(args) if args.command == "profile" else None
-    kern = KernelSuite()
 
     if args.command == "inverse":
-        series, _ = build_series_inv(config.order, kern, quad=config.quad)
+        series, _ = build_series_inv(config.order)
         rows = [(f"W_{n}", c) for n, c in enumerate(series.coefficients)]
         rows.append(("gradient", gradient(series, config.q, args.slip)))
         _rows_out(rows, ("quantity", "value"), fmt, args)
         return 0
 
-    series, densities = build_series_fwd(config.order, kern, quad=config.quad)
+    series, densities = build_series_fwd(config.order)
 
     if args.command == "coeffs":
         rows = [(f"V_{n}", c) for n, c in enumerate(series.coefficients)]
         rows.append(("slip_velocity", slip_velocity(series, config.q, config.gradient)))
         _rows_out(rows, ("quantity", "value"), fmt, args)
     elif args.command == "wall":
-        u0 = wall_velocity(config, kern, series, densities)
+        u0 = wall_velocity(config, series, densities)
         _rows_out([("wall_velocity", u0)], ("quantity", "value"), fmt, args)
     elif args.command == "profile":
-        prof = full_profile(config, x_nodes, kern, series, densities)
+        prof = full_profile(config, x_nodes, series, densities)
         if fmt == "json":
             _emit(prof.to_json() + "\n", args)
         elif fmt == "csv":

@@ -74,8 +74,8 @@ INVERSE = SeriesKind(
 )
 
 
-def default_density_quad(k_max: float = 2000.0) -> QuadratureSpec:
-    """Half-line rule for integrals of grid-sampled densities.
+def default_density_quad(k_max: float) -> QuadratureSpec:
+    """Half-line rule for integrals of densities on a grid that ends at ``k_max``.
 
     The last panel ends at the grid edge so the power-law tail estimate
     starts where the sampled data stops.  Tolerances are looser than the

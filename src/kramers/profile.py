@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import build_series_fwd, check_finite, default_density_quad, slip_velocity
-from .kernels import KernelSuite
 from .quadrature import integrate_halfline
 from .spectral import (
     ProblemConfig,
@@ -88,7 +87,7 @@ class DistributionSlice:
     they are even in mu."""
 
     mu_nodes: np.ndarray
-    values: np.ndarray
+    values: np.ndarray | float
 
 
 def _series_sum(densities: list[SpectralDensity], q: float, g_v: float, scale: float):
@@ -115,10 +114,10 @@ def velocity_correction(
     return g_v * (2.0 - q) / math.pi * cosine_transform(total, x)
 
 
-def _forward_build(config: ProblemConfig, kern, series, densities):
+def _forward_build(config: ProblemConfig, series, densities):
     """The prebuilt forward series of ``config.order`` and its iterates, or a new build."""
     if series is None or densities is None:
-        return build_series_fwd(config.order, kern, quad=config.quad)
+        return build_series_fwd(config.order)
     order = config.order
     if series.kind != "forward" or series.order != order or len(densities) != order + 1:
         raise ValueError(f"need the forward series of order {order} and its iterates, got "
@@ -129,12 +128,11 @@ def _forward_build(config: ProblemConfig, kern, series, densities):
 def full_profile(
     config: ProblemConfig,
     x_nodes,
-    kern: KernelSuite | None = None,
     series: SeriesExpansion | None = None,
     densities: list[SpectralDensity] | None = None,
 ) -> VelocityProfile:
     """U(x) = V_sl(q) + g_v x + U_c(x) on the given x-grid."""
-    series, densities = _forward_build(config, kern, series, densities)
+    series, densities = _forward_build(config, series, densities)
     x_nodes = np.asarray(x_nodes, dtype=float)
     g_v, q = config.gradient, config.q
     v_sl = slip_velocity(series, q, g_v)
@@ -152,7 +150,6 @@ def full_profile(
 
 def wall_velocity(
     config: ProblemConfig,
-    kern: KernelSuite | None = None,
     series: SeriesExpansion | None = None,
     densities: list[SpectralDensity] | None = None,
 ) -> float:
@@ -163,7 +160,7 @@ def wall_velocity(
     sums use); at any other q it is the truncated series ``slip_velocity``,
     so U(0) equals ``full_profile(...).total[0]`` there.
     """
-    series, densities = _forward_build(config, kern, series, densities)
+    series, densities = _forward_build(config, series, densities)
     g_v, q = config.gradient, config.q
     v_sl = g_v * EXACT_SLIP_DIFFUSE if q == 1.0 else slip_velocity(series, q, g_v)
     return v_sl + velocity_correction(densities, q, g_v, 0.0)
@@ -181,14 +178,16 @@ def boundary_distribution(density: SpectralDensity, mu_nodes) -> DistributionSli
     on mu^2 only, so one slice serves both signs of mu.  All mu are the rows
     of one row-valued integrate_halfline call under
     ``default_density_quad(density.grid.k_max)``, each under the scalar
-    rule.  A NaN mu raises ValueError.
+    rule.  A scalar mu gives a float ``values``, a 1-D array an array.  A
+    NaN or infinite mu raises ValueError.
     """
     mu_nodes = np.asarray(mu_nodes, dtype=float)
-    if np.isnan(mu_nodes).any():
-        raise ValueError("mu must not be NaN")
-    mu, quad = mu_nodes[:, None], default_density_quad(density.grid.k_max)
+    if not np.isfinite(mu_nodes).all():
+        raise ValueError(f"mu must be finite, not NaN or inf, got {mu_nodes}")
+    mu, quad = np.atleast_1d(mu_nodes)[:, None], default_density_quad(density.grid.k_max)
     values = integrate_halfline(lambda k: density(k) / (1.0 + k * k * mu * mu), quad) / math.pi
-    return DistributionSlice(mu_nodes=mu_nodes, values=values)
+    # a scalar mu gives its row's np.float64, a float whose complex division is numpy's
+    return DistributionSlice(mu_nodes, values[0] if mu_nodes.ndim == 0 else values)
 
 
 def phi_n(
@@ -204,13 +203,17 @@ def phi_n(
     Order n>0: (E_n(k) - V_n |mu| - |mu| h_{n-1}(mu)) / (1 + i k mu), with
                h_{n-1}(mu) = (1/pi) int E_{n-1}(k1)/(1+k1^2 mu^2) dk1 the
                boundary_distribution of E_{n-1}
+
+    A NaN or infinite mu raises ValueError at every n.
     """
     if n < 0 or n > series.order or n >= len(densities):
         raise ValueError(f"order {n} exceeds the built series")
+    if not math.isfinite(mu):
+        raise ValueError(f"mu must be finite, got {mu}")
     amu = abs(mu)
     numerator = densities[n](k) - series.coefficients[n] * amu
     if n == 0:
         numerator += mu * mu
     else:
-        numerator -= amu * boundary_distribution(densities[n - 1], [mu]).values[0]
+        numerator -= amu * boundary_distribution(densities[n - 1], mu).values
     return numerator / (1.0 + 1j * k * mu)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, TailDivergence, _gauss_legendre
+from .quadrature import TailDivergence, _gauss_legendre
 
 __all__ = [
     "SpectralGrid",
@@ -338,15 +338,15 @@ class SeriesExpansion:
 @dataclass(frozen=True)
 class ProblemConfig:
     """What a forward solve reads: the diffuseness ``q`` in [0, 1], the
-    finite imposed velocity ``gradient``, the integer truncation ``order``
-    in [0, 12] and the density quadrature ``quad`` (None: the default rule
-    of the grid).  The spectral grid is always ``SpectralGrid.geometric()``.
+    finite imposed velocity ``gradient`` and the integer truncation
+    ``order`` in [0, 12].  The resolution is the build's default: the
+    ``KernelSuite()`` t-rule, ``SpectralGrid.geometric()`` and the density
+    rule ``default_density_quad`` of that grid.
     """
 
     q: float = 1.0
     gradient: float = 1.0
     order: int = 3
-    quad: QuadratureSpec | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.q <= 1.0):

@@ -11,6 +11,10 @@ ORACLE_NODES = 32
 ORACLE_PHASE = 16.0
 # the tail panels run to L = K + TAIL_PHASE/x; three series terms finish from L
 TAIL_PHASE = 4000.0
+# ado_kramers' half-range ordinates: equal Gauss-Legendre panels on [0, ADO_MU_MAX]
+ADO_PANELS = 6
+ADO_NODES = 64
+ADO_MU_MAX = 8.0
 
 
 def _gauss_points(a, b, width):
@@ -71,3 +75,39 @@ def cosine_oracle(densities, weights, x: float) -> float:
     k, w = _gauss_points(knots[:-1], knots[1:], width)
     body = math.fsum(w * _weighted_sum(densities, weights, k) * np.cos(k * x))
     return body + cosine_oracle_tail(densities, weights, x)
+
+
+def ado_kramers(q: float):
+    """The BGK Kramers problem at accommodation q in (0, 1] by the analytical
+    discrete-ordinates method (Barichello, Camargo, Rodrigues & Siewert,
+    ZAMP 52, 2001, 517), which shares no code with the Neumann series.
+
+    On the half-range ordinates mu_i with weights omega_i = w_i e^{-mu_i^2}/sqrt(pi)
+    the decaying modes solve M^-2 (I - 2 1 omega^T) U = U/nu^2, here through
+    its symmetric similarity transform by diag(sqrt(omega) mu); the zero
+    eigenvalue is dropped and Phi+- = (I +- M/nu) U/2.  With the far field
+    h = A + x -+ mu, the wall condition h(0, mu_i) = (1 - q) h(0, -mu_i) is one
+    N x N solve for the slip A and the mode amplitudes a_j.
+
+    Returns ``(A, u_c)``: the slip for a unit gradient and the Knudsen-layer
+    correction u_c(x) = sum_j a_j omega^T U_j e^{-x/nu_j}, so that
+    U(x) = A + x + u_c(x).
+    """
+    xi, w = np.polynomial.legendre.leggauss(ADO_NODES)
+    edges = np.linspace(0.0, ADO_MU_MAX, ADO_PANELS + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    mu = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * xi).ravel()
+    omega = (half * w).ravel() * np.exp(-mu * mu) / math.sqrt(math.pi)
+    root = np.sqrt(omega)
+    lam, y = np.linalg.eigh((np.eye(mu.size) - 2.0 * np.outer(root, root)) / np.outer(mu, mu))
+    # eigh sorts ascending: the first eigenvalue is the zero one
+    nu, u = 1.0 / np.sqrt(lam[1:]), y[:, 1:] / (root * mu)[:, None]
+    plus, minus = 0.5 * (1.0 + mu[:, None] / nu) * u, 0.5 * (1.0 - mu[:, None] / nu) * u
+    wall = np.column_stack((np.full(mu.size, q), plus - (1.0 - q) * minus))
+    solution = np.linalg.solve(wall, (2.0 - q) * mu)
+    amplitude = solution[1:] * (omega @ u)  # Phi+ + Phi- = U
+
+    def u_c(x):
+        return np.exp(-np.asarray(x, dtype=float)[..., None] / nu) @ amplitude
+
+    return float(solution[0]), u_c

@@ -163,13 +163,13 @@ def test_criterion_6_operator_oracle(kern, forward3, inverse3):
     crit.close()
 
 
-def test_criterion_7_profile_asymptotics(forward3, kern):
+def test_criterion_7_profile_asymptotics(forward3):
     crit = Criterion(7, "profile asymptotics")
     x = np.arange(0.0, 30.5, 0.5)
     sel = x >= 15.0
     for q in (0.25, 0.5, 1.0):
         config = ProblemConfig(q=q, gradient=1.0, order=3)
-        prof = full_profile(config, x, kern, *forward3)
+        prof = full_profile(config, x, *forward3)
         slope, intercept = np.polyfit(x[sel], prof.total[sel], 1)
         v_sl = slip_velocity(forward3[0], q, 1.0)
         crit.check(f"slope q={q}", abs(slope - 1.0) <= 1e-3, f"got {slope:.6f}")

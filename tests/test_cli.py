@@ -102,12 +102,18 @@ class TestArgumentErrors:
         assert code == 2
 
     @pytest.mark.parametrize("argv", [("coeffs", "--slip", "1"),
-                                      ("inverse", "--gradient", "1", "--slip", "1")])
+                                      ("inverse", "--gradient", "1", "--slip", "1"),
+                                      ("coeffs", "--nodes", "32"),
+                                      ("wall", "--tol", "1e-7"),
+                                      ("profile", "--nodes", "8"),
+                                      ("inverse", "--slip", "1", "--tol", "1e-9")])
     def test_drive_belongs_to_its_command(self, capsys, argv):
-        """coeffs, wall and profile take --gradient only, inverse --slip only."""
+        """coeffs, wall and profile take --gradient only, inverse --slip only;
+        no command takes --nodes or --tol, the resolution is the build's."""
         with pytest.raises(SystemExit) as exc:
             main([*argv, "--order", "0"])
         assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("argv", [("inverse", "--slip", "inf"),
                                       ("coeffs", "--gradient", "nan"),

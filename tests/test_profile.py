@@ -1,13 +1,12 @@
 """Velocity profiles, wall values, and the boundary distribution."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import cosine_oracle
+from oracles import ado_kramers, cosine_oracle
 
 from kramers.cli import main
-from kramers.forward import default_density_quad, slip_velocity
+from kramers.forward import build_series_fwd, default_density_quad, slip_velocity
 from kramers.profile import (
     EXACT_SLIP_DIFFUSE,
     EXACT_WALL_DIFFUSE,
@@ -23,10 +22,10 @@ from kramers.spectral import ProblemConfig, SpectralDensity
 
 
 @pytest.fixture(scope="module")
-def profile_q1(forward3, kern):
+def profile_q1(forward3):
     config = ProblemConfig(q=1.0, gradient=1.0, order=3)
     x = np.arange(0.0, 30.5, 0.5)
-    return full_profile(config, x, kern, *forward3)
+    return full_profile(config, x, *forward3)
 
 
 class TestCorrection:
@@ -75,7 +74,7 @@ class TestBatched:
         density = combined_density(forward3[1], 0.7, 1.0)
         mu = np.array([0.0, 0.1, 0.5, 1.0, 3.0])
         got = boundary_distribution(density, mu).values
-        quad = default_density_quad()
+        quad = default_density_quad(density.grid.k_max)
         per_mu = [
             integrate_halfline(lambda k: density(k) / (1.0 + k * k * m * m), quad) / math.pi
             for m in mu
@@ -100,11 +99,11 @@ class TestFarField:
         assert main(["profile", "--order", "0", "--xmax", "200", "--format", "csv"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 402
 
-    def test_infinite_x_rejected(self, forward3, kern):
+    def test_infinite_x_rejected(self, forward3):
         with pytest.raises(ValueError, match="finite"):
             velocity_correction(forward3[1], 1.0, 1.0, np.inf)
         with pytest.raises(ValueError, match="finite"):
-            full_profile(ProblemConfig(), [0.0, np.inf], kern, *forward3)
+            full_profile(ProblemConfig(), [0.0, np.inf], *forward3)
 
 
 class TestProfile:
@@ -159,27 +158,27 @@ class TestExactSlip:
 
 
 class TestWall:
-    def test_diffuse_partial_sums(self, forward3, kern):
+    def test_diffuse_partial_sums(self, forward3):
         for order, expected in ((0, 0.674744), (1, 0.710319), (2, 0.706802)):
             got = EXACT_SLIP_DIFFUSE + velocity_correction(
                 forward3[1][: order + 1], 1.0, 1.0, 0.0
             )
             assert got == pytest.approx(expected, abs=1e-3)
 
-    def test_near_exact_benchmark(self, forward3, kern):
+    def test_near_exact_benchmark(self, forward3):
         config = ProblemConfig(q=1.0, gradient=1.0, order=3)
-        got = wall_velocity(config, kern, *forward3)
+        got = wall_velocity(config, *forward3)
         assert got == pytest.approx(EXACT_WALL_DIFFUSE, abs=1e-3)
         # at q = 1 the slip in U(0) is the exact benchmark, not the series
         parts = EXACT_SLIP_DIFFUSE + velocity_correction(forward3[1], 1.0, 1.0, 0.0)
         assert got == pytest.approx(parts, rel=0.0, abs=1e-12)
 
-    def test_series_slip_mode(self, forward3, kern):
+    def test_series_slip_mode(self, forward3):
         """Off the diffuse wall U(0) takes the truncated series slip, so it
         is the x = 0 value of the profile."""
         config = ProblemConfig(q=0.5, gradient=1.0, order=3)
-        got = wall_velocity(config, kern, *forward3)
-        profile = full_profile(config, [0.0], kern, *forward3)
+        got = wall_velocity(config, *forward3)
+        profile = full_profile(config, [0.0], *forward3)
         assert got == pytest.approx(profile.total[0], rel=0.0, abs=1e-12)
         parts = slip_velocity(forward3[0], 0.5, 1.0) + velocity_correction(
             forward3[1], 0.5, 1.0, 0.0
@@ -187,31 +186,65 @@ class TestWall:
         assert got == pytest.approx(parts, rel=0.0, abs=1e-12)
 
 
+@pytest.fixture(scope="module")
+def forward12():
+    return build_series_fwd(12)
+
+
+class TestDiscreteOrdinates:
+    """The order-12 series against the independent discrete-ordinates
+    solution ``ado_kramers``."""
+
+    def test_oracle_self_check(self):
+        """At q = 1 the oracle's slip is the exact diffuse slip (7.6e-12 off)
+        and its U(0) is 1/sqrt(2) (5.4e-14 off)."""
+        slip, u_c = ado_kramers(1.0)
+        assert slip == pytest.approx(EXACT_SLIP_DIFFUSE, rel=0.0, abs=1e-10)
+        assert slip + u_c(0.0) == pytest.approx(EXACT_WALL_DIFFUSE, rel=0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, 0.1])
+    def test_slip_and_layer(self, forward12, q):
+        """The slip is 2.4e-9 to 6.1e-9 low and U_c at x >= 0.5 within 7.1e-9."""
+        slip, u_c = ado_kramers(q)
+        series, densities = forward12
+        assert slip_velocity(series, q, 1.0) == pytest.approx(slip, rel=0.0, abs=1e-8)
+        x = np.array([0.5, 2.0, 10.0])
+        assert np.max(np.abs(velocity_correction(densities, q, 1.0, x) - u_c(x))) <= 1e-8
+
+    @pytest.mark.parametrize("q", [1.0, 0.5, 0.1])
+    def test_wall_value(self, forward12, q):
+        """U(0) is 6.0e-5 to 1.5e-4 low.  The order-12 truncation is far
+        smaller, so the gap is the discretization of the spline iterates."""
+        slip, u_c = ado_kramers(q)
+        got = wall_velocity(ProblemConfig(q=q, order=12), *forward12)
+        assert got == pytest.approx(slip + u_c(0.0), rel=0.0, abs=2e-4)
+
+
 class TestPrebuiltSeries:
     """A prebuilt series must be the forward series of the config's order:
     an order-3 build under an order-1 config used to give the order-3 U(0),
     2.37435, labelled order 1 (the order-1 value is 2.38387)."""
 
-    def test_order_must_match(self, forward3, kern):
+    def test_order_must_match(self, forward3):
         config = ProblemConfig(q=0.5, order=1)
         with pytest.raises(ValueError, match="order"):
-            full_profile(config, [0.0], kern, *forward3)
+            full_profile(config, [0.0], *forward3)
         with pytest.raises(ValueError, match="order"):
-            wall_velocity(config, kern, *forward3)
-        assert full_profile(config, [0.0], kern).total[0] == pytest.approx(2.38387, abs=1e-5)
+            wall_velocity(config, *forward3)
+        assert full_profile(config, [0.0]).total[0] == pytest.approx(2.38387, abs=1e-5)
 
-    def test_iterate_count_must_match(self, forward3, kern):
+    def test_iterate_count_must_match(self, forward3):
         series, densities = forward3
-        for call in (lambda d: full_profile(ProblemConfig(), [0.0], kern, series, d),
-                     lambda d: wall_velocity(ProblemConfig(), kern, series, d)):
+        for call in (lambda d: full_profile(ProblemConfig(), [0.0], series, d),
+                     lambda d: wall_velocity(ProblemConfig(), series, d)):
             with pytest.raises(ValueError, match="iterates"):
                 call(densities[:3])
 
-    def test_inverse_series_rejected(self, inverse3, kern):
+    def test_inverse_series_rejected(self, inverse3):
         with pytest.raises(ValueError, match="forward"):
-            full_profile(ProblemConfig(), [0.0], kern, *inverse3)
+            full_profile(ProblemConfig(), [0.0], *inverse3)
         with pytest.raises(ValueError, match="forward"):
-            wall_velocity(ProblemConfig(), kern, *inverse3)
+            wall_velocity(ProblemConfig(), *inverse3)
 
 
 class TestArguments:
@@ -230,30 +263,29 @@ class TestArguments:
         with pytest.raises(ValueError, match="NaN"):
             boundary_distribution(density, [0.5, math.nan])
 
+    @pytest.mark.parametrize("mu", [math.inf, -math.inf, [0.5, math.inf]])
+    def test_infinite_mu_rejected(self, forward3, mu):
+        """An infinite mu used to give h = 0."""
+        density = combined_density(forward3[1], 1.0, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            boundary_distribution(density, mu)
 
-class TestQuadratureSettings:
-    def test_config_quad_sets_only_the_build(self, forward3, kern, monkeypatch):
-        """config.quad (the CLI's --nodes/--tol) reaches the series build of
-        full_profile and wall_velocity; the transform of built iterates is
-        exact and takes no quadrature."""
-        custom = replace(default_density_quad(), rel_tol=1e-9)
-        config = ProblemConfig(q=0.5, gradient=1.0, order=3, quad=custom)
-        default = ProblemConfig(q=0.5, gradient=1.0, order=3)
-        x = [0.0, 2.0]
-        assert np.array_equal(full_profile(config, x, kern, *forward3).total,
-                              full_profile(default, x, kern, *forward3).total)
-        assert wall_velocity(config, kern, *forward3) == wall_velocity(default, kern, *forward3)
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_phi_n_non_finite_mu_rejected(self, forward3, n, mu):
+        """phi_n(0, 0.5, nan) used to return nan+nanj, and an infinite mu
+        nan+nanj with RuntimeWarnings at n >= 1."""
+        with pytest.raises(ValueError, match="finite"):
+            phi_n(n, 0.5, mu, *forward3)
 
-        seen = []
-
-        def recording(order, kern=None, grid=None, quad=None):
-            seen.append(quad)
-            return forward3
-
-        monkeypatch.setattr("kramers.profile.build_series_fwd", recording)
-        full_profile(config, x, kern)
-        wall_velocity(config, kern)
-        assert seen == [custom, custom]
+    def test_scalar_mu(self, forward3):
+        """A scalar mu gives a float, bit for bit the one-element array's
+        value; it used to raise IndexError."""
+        density = combined_density(forward3[1], 0.5, 1.0)
+        for mu in (0.0, 0.4, -2.0):
+            got = boundary_distribution(density, mu).values
+            assert isinstance(got, float)
+            assert got == boundary_distribution(density, [mu]).values[0]
 
 
 class TestBoundaryDistribution:
@@ -287,7 +319,7 @@ class TestSpectralPhase:
         val = phi_n(0, 0.0, 0.7, forward3[0], forward3[1])
         assert val.imag == pytest.approx(0.0, abs=1e-14)
 
-    def test_modulus_identity(self, forward3, kern):
+    def test_modulus_identity(self, forward3):
         k, mu = 1.0, 0.5
         val = phi_n(0, k, mu, forward3[0], forward3[1])
         lhs = abs(1.0 + 1j * k * mu) ** 2 * abs(val) ** 2

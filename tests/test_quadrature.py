@@ -81,12 +81,12 @@ class TestHalfline:
     def test_small_value_large_tail_kept(self):
         """|g(b)| = 6e-12 is below abs_tol at b = 1.28e5, but the fitted tail
         b |g(b)| / (p - 1) = 7.8e-7 is not, so it counts."""
-        got = integrate_halfline(lambda k: 0.1 / (1.0 + k) ** 2, default_density_quad())
+        got = integrate_halfline(lambda k: 0.1 / (1.0 + k) ** 2, default_density_quad(2000.0))
         assert got == pytest.approx(0.1, abs=1e-9)
 
     def test_tail_compared_with_abs_tol(self):
         """The fitted tail, not the last value, decides whether it is dropped."""
-        spec = default_density_quad()
+        spec = default_density_quad(2000.0)
         a, b = 3.2e4, 1.28e5
         # fitted tails 7.8e-13 and 7.8e-11 around abs_tol = 1e-11
         assert _tail_estimate(lambda k: 1e-7 / (1.0 + k) ** 2, a, b, spec) == 0.0
@@ -348,7 +348,7 @@ class TestFourierCos:
         """At x = 0 the transform is the plain integral of each stored density
         (the half-line rule fits each power-law tail exactly only on its own);
         at 64 nodes per panel the rule itself is 5e-11 off, at 256 2e-13."""
-        quad = replace(default_density_quad(), node_count=256)
+        quad = replace(default_density_quad(combined.grid.k_max), node_count=256)
         halfline = [integrate_halfline(d, quad) for d in forward3[1]]
         assert cosine_transform(combined, 0.0) == pytest.approx(
             np.dot(WEIGHTS, halfline), rel=0.0, abs=1e-11)

@@ -199,11 +199,11 @@ class TestSeries:
 class TestProblemConfig:
     def test_defaults(self):
         cfg = ProblemConfig()
-        assert cfg.q == 1.0 and cfg.gradient == 1.0 and cfg.order == 3 and cfg.quad is None
+        assert cfg.q == 1.0 and cfg.gradient == 1.0 and cfg.order == 3
 
     def test_fields(self):
         assert [f.name for f in dataclasses.fields(ProblemConfig)] == [
-            "q", "gradient", "order", "quad"
+            "q", "gradient", "order"
         ]
 
     @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
