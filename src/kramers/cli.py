@@ -29,7 +29,7 @@ from .validation import report_json, report_lines, run_reference_checks
 
 __all__ = ["main"]
 
-# bounds the run time: 100,001 x-points at order 3 take about 10 s on a
+# bounds the run time: 100,001 x-points at order 3 take about 4 s on a
 # 2-vCPU Xeon (memory stays flat, the transform works in fixed blocks of x)
 MAX_X_POINTS = 100_001
 

@@ -178,16 +178,17 @@ def boundary_distribution(density: SpectralDensity, mu_nodes) -> DistributionSli
     on mu^2 only, so one slice serves both signs of mu.  All mu are the rows
     of one row-valued integrate_halfline call under
     ``default_density_quad(density.grid.k_max)``, each under the scalar
-    rule.  A scalar mu gives a float ``values``, a 1-D array an array.  A
-    NaN or infinite mu raises ValueError.
+    rule.  A scalar mu gives a float ``values``, an array of mu an array of
+    its shape.  A NaN or infinite mu raises ValueError.
     """
     mu_nodes = np.asarray(mu_nodes, dtype=float)
     if not np.isfinite(mu_nodes).all():
         raise ValueError(f"mu must be finite, not NaN or inf, got {mu_nodes}")
-    mu, quad = np.atleast_1d(mu_nodes)[:, None], default_density_quad(density.grid.k_max)
+    mu, quad = mu_nodes.reshape(-1, 1), default_density_quad(density.grid.k_max)
     values = integrate_halfline(lambda k: density(k) / (1.0 + k * k * mu * mu), quad) / math.pi
     # a scalar mu gives its row's np.float64, a float whose complex division is numpy's
-    return DistributionSlice(mu_nodes, values[0] if mu_nodes.ndim == 0 else values)
+    return DistributionSlice(mu_nodes, values[0] if mu_nodes.ndim == 0 else
+                             values.reshape(mu_nodes.shape))
 
 
 def phi_n(

@@ -37,6 +37,9 @@ _SERIES_PHASE = 40.0
 _SERIES_TERMS = 24
 # Gauss-Legendre nodes of a doubling tail panel, whose phase spans at most 40
 _TAIL_NODES = 64
+# terms in w = (x h)^2 of a knot piece's small-phase series; at x h <= 1 the
+# first omitted one is at most 1/20! ~ 4e-19 of the piece
+_SMALL_PHASE_TERMS = 10
 
 
 class GridTooCoarse(Exception):
@@ -213,19 +216,20 @@ def cosine_transform(density: SpectralDensity, x) -> float | np.ndarray:
     """``int_0^oo E(k) cos(kx) dk``, exact for the stored ``density`` at
     every finite x >= 0.
 
-    On a knot piece of width h it is integration by parts,
-    ``[s sin/x + s' cos/x^2 - s'' sin/x^3 - s''' cos/x^4]`` over the piece
-    ends (Filon, Proc. R. Soc. Edinburgh 49, 1928, 38), where x h > 1, and
-    the 8-node Gauss-Legendre rule, exact to rounding for a cubic times
-    cos(kx) at phase <= 1, elsewhere; x = 0 is the exact integral of the
-    cubics.  Each power law c (k/K)^p of the tail past K = k_max adds its
-    closed form (``_power_tail``).
+    x = 0 is the exact integral of the cubics.  At x > 0 a knot piece
+    [a, a + h] with x h > 1 is integration by parts,
+    ``[s sin/x + s' cos/x^2 - s'' sin/x^3 - s''' cos/x^4]`` over its ends
+    (Filon, Proc. R. Soc. Edinburgh 49, 1928, 38), and one with x h <= 1 is
+    ``cos(xa) C - sin(xa) S``, where C and S are the Taylor series of its
+    moments against cos(x(k - a)) and sin(x(k - a)) (``_small_phase_tables``).
+    Each power law c (k/K)^p of the tail past K = k_max adds its closed
+    form (``_power_tail``).
 
     ``x`` may be a scalar, which gives a float, or an array, which gives an
     array of the same shape; every x gets the same arithmetic whatever else
-    is in the array.  The x go in fixed-size blocks, so memory does not
-    grow with their number, and a block evaluates the Gauss rule only on
-    the pieces its smallest x needs.  Raises ValueError for an x that is
+    is in the array.  The positive x go in fixed-size blocks, so memory
+    does not grow with their number, and a block evaluates the series only
+    on the pieces its smallest x needs.  Raises ValueError for an x that is
     negative, non-finite, subnormal or so large that k_max x overflows, and
     TailDivergence for a tail with p >= -1.
     """
@@ -242,38 +246,72 @@ def cosine_transform(density: SpectralDensity, x) -> float | np.ndarray:
 
     h = np.diff(knots)
     c0, c1, c2, c3 = density._coef
+    flat = xs.ravel()
+    out = np.empty(flat.size)
+    zero = flat == 0.0
+    if zero.any():
+        out[zero] = np.sum(h * (c3 + h * (c2 / 2.0 + h * (c1 / 3.0 + h * c0 / 4.0))))
+        for c, p in density.tails:
+            out[zero] += _power_tail(c, p, knots[-1], flat[zero])
+    positive = np.flatnonzero(~zero)
+    if not positive.size:
+        return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
     # s, s', s'' and s''' at the two ends of each piece
     left = (c3, c2, 2.0 * c1, 6.0 * c0)
     right = (((c0 * h + c1) * h + c2) * h + c3, (3.0 * c0 * h + 2.0 * c1) * h + c2,
              6.0 * c0 * h + 2.0 * c1, 6.0 * c0)
-    xi, omega = _gauss_legendre(8)
-    t = 0.5 * h * (1.0 + xi[:, None])
-    nodes = knots[:-1] + t
-    weighted = 0.5 * h * omega[:, None] * (((c0 * t + c1) * t + c2) * t + c3)
+    cos_table, sin_table = _small_phase_tables(h, density._coef)
 
     def ends(s, sin, cos, r):
         return r * ((s[0] - s[2] * r * r) * sin + r * (s[1] - s[3] * r * r) * cos)
 
-    flat = xs.ravel()
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, _X_BLOCK):
-        xb = flat[start:start + _X_BLOCK]
+    for start in range(0, positive.size, _X_BLOCK):
+        block = positive[start:start + _X_BLOCK]
+        xb = flat[block]
         col = xb[:, None]
         r = 1.0 / np.maximum(col, 1.0 / h.max())  # 1/x wherever a piece takes the parts
         sin, cos = np.sin(col * knots), np.cos(col * knots)
         terms = ends(right, sin[:, 1:], cos[:, 1:], r) - ends(left, sin[:, :-1], cos[:, :-1], r)
         # past the last piece with xb.min() h <= 1 every x of the block takes the parts
-        gaussian = np.flatnonzero(xb.min() * h <= 1.0)
-        m = gaussian[-1] + 1 if gaussian.size else 0
-        gauss = weighted[0, :m] * np.cos(col * nodes[0, :m])
-        for wm, km in zip(weighted[1:, :m], nodes[1:, :m]):
-            gauss += wm * np.cos(col * km)
-        terms[:, :m] = np.where(col * h[:m] > 1.0, terms[:, :m], gauss)
+        small = np.flatnonzero(xb.min() * h <= 1.0)
+        m = small[-1] + 1 if small.size else 0
+        z = col * h[:m]
+        w = z * z
+        even, odd = cos_table[-1, :m], sin_table[-1, :m]
+        for a, b in zip(cos_table[-2::-1, :m], sin_table[-2::-1, :m]):
+            even, odd = even * w + a, odd * w + b
+        series = cos[:, :m] * even - sin[:, :m] * (z * odd)
+        terms[:, :m] = np.where(z > 1.0, terms[:, :m], series)
         total = terms.sum(axis=-1)
         for c, p in density.tails:
             total += _power_tail(c, p, knots[-1], xb)
-        out[start:start + _X_BLOCK] = total
+        out[block] = total
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
+
+
+def _small_phase_tables(h: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Horner tables in w = z^2, z = x h, of each knot piece's moments.
+
+    On a piece of width h with cubic ``s(t) = sum_p b_p t^p`` (``coef`` is
+    ``(b_3, b_2, b_1, b_0)``), t = h u gives
+    ``int_0^h s(t) cos(xt) dt = sum_m C[m] w^m`` and
+    ``int_0^h s(t) sin(xt) dt = z sum_m S[m] w^m`` with
+
+        C[m] = (-1)^m / (2m)! sum_p b_p h^(p+1) / (2m + p + 1),
+        S[m] = (-1)^m / (2m+1)! sum_p b_p h^(p+1) / (2m + p + 2),
+
+    the Taylor series of ``int_0^1 u^p cos(zu) du`` and its sine.  Both
+    tables are ``(_SMALL_PHASE_TERMS, pieces)``; at z <= 1 the first omitted
+    term is at most 1/(2 _SMALL_PHASE_TERMS)! of the piece.
+    """
+    moments = np.stack([b * h ** (p + 1) for p, b in enumerate(coef[::-1])])
+    m, p = np.arange(_SMALL_PHASE_TERMS)[:, None], np.arange(4)
+    sign = np.where(m % 2 == 0, 1.0, -1.0)
+    factorial = np.array([[math.factorial(2 * n)] for n in range(_SMALL_PHASE_TERMS)], dtype=float)
+    cos_weights = sign / (factorial * (2 * m + p + 1))
+    sin_weights = sign / (factorial * (2 * m + 1) * (2 * m + p + 2))
+    return cos_weights @ moments, sin_weights @ moments
 
 
 def _power_tail(c: float, p: float, k_max: float, x: np.ndarray) -> np.ndarray:

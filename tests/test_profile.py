@@ -287,6 +287,15 @@ class TestArguments:
             assert isinstance(got, float)
             assert got == boundary_distribution(density, [mu]).values[0]
 
+    def test_mu_keeps_its_shape(self, forward3):
+        """A 2-D mu gives values of its shape, bit for bit the flat call's;
+        it used to end in a numpy broadcast error."""
+        density = combined_density(forward3[1], 0.5, 1.0)
+        mu = np.array([[0.1, 0.2], [0.3, 0.4]])
+        got = boundary_distribution(density, mu)
+        assert got.values.shape == mu.shape
+        assert np.array_equal(got.values, boundary_distribution(density, mu.ravel()).values.reshape(2, 2))
+
 
 class TestBoundaryDistribution:
     def test_even_in_mu(self, forward3):

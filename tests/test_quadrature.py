@@ -219,7 +219,7 @@ class TestLeftMatrix:
 
 
 # x = 0, x on both sides of the tail series start K x = 40 (x = 0.02) and of
-# the parts/Gauss switch x h = 1 of the widest piece (x = 1/89), and larger x
+# the parts/series switch x h = 1 of the widest piece (x = 1/89), and larger x
 FOURIER_X = np.array([0.0, 0.01, 1.0 / 89.0, 0.0199, 0.02, 0.3, 1.0, 3.7, 10.0, 30.0])
 ORACLE_X = (0.01, 0.3, 1.0, 3.7, 10.0, 30.0)
 WEIGHTS = (1.0, 0.5, 0.25, 0.125)
@@ -251,12 +251,24 @@ class TestFourierCos:
                               got[:6].reshape(2, 3))
 
     def test_far_block_bit_identical(self, combined):
-        """A block of large x evaluates the Gauss rule on fewer pieces than a
-        block that holds x = 0, with the same values bit for bit."""
+        """A block of large x evaluates the small-phase series on fewer pieces
+        than a block that holds small x, with the same values bit for bit."""
         x = np.geomspace(100.0, 5e4, 40)
         got = cosine_transform(combined, x)
         assert np.array_equal(got, cosine_transform(combined, np.concatenate(([0.0], x)))[1:])
         assert np.array_equal(got[:3], [cosine_transform(combined, float(v)) for v in x[:3]])
+
+    @pytest.mark.parametrize("piece", [120, 160, 240, 319])
+    def test_branch_switch(self, forward3, combined, piece):
+        """At x = 1/h, and its next float on each side, piece h switches
+        between the small-phase series, at its widest phase there, and the
+        parts."""
+        x = 1.0 / np.diff(combined._knots)[piece]
+        xs = np.array([np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)])
+        got = cosine_transform(combined, xs)
+        assert np.array_equal(got, [cosine_transform(combined, float(v)) for v in xs])
+        for v, g in zip(xs, got):
+            assert g == pytest.approx(cosine_oracle(forward3[1], WEIGHTS, v), rel=0.0, abs=1e-14)
 
     def test_block_boundary_bit_identical(self, combined):
         """x split across blocks of the transform gives the single-x values."""
