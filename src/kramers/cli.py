@@ -7,7 +7,8 @@ Subcommands:
   profile   velocity profile U(x) on a uniform x-grid
   validate  recompute the built-in reference checks
 
-Exit status: 0 on success, 1 on a numerical failure, 2 on bad arguments.
+Exit status: 0 on success, 1 on a numerical failure, 2 on bad arguments or
+an --out file that cannot be written.
 Identical invocations produce byte-identical output.
 """
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -100,12 +102,24 @@ def _x_grid(args) -> np.ndarray:
     return np.linspace(0.0, args.xstep * (count - 1), count)
 
 
+def _check_out(path: str) -> None:
+    """Reject an --out path whose directory is missing, or that is a directory."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"--out: no directory {folder!r}")
+    if os.path.isdir(path):
+        raise ValueError(f"--out: {path!r} is a directory")
+
+
 def _emit(text: str, args) -> None:
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
 
 
 def _rows_out(rows, header, fmt, args) -> None:
@@ -123,7 +137,10 @@ def _rows_out(rows, header, fmt, args) -> None:
 
 
 def _run(args) -> int:
+    # every argument is checked before the build or the reference checks
     fmt = _resolve_format(args)
+    if args.out:
+        _check_out(args.out)
     if args.command == "validate":
         results = run_reference_checks()
         if fmt == "json":
@@ -132,8 +149,7 @@ def _run(args) -> int:
             _emit("\n".join(report_lines(results)) + "\n", args)
         return 0 if all(r.passed for r in results) else 1
 
-    # every argument is checked before the build; inverse has no gradient, and
-    # its config checks q and order all the same
+    # inverse has no gradient, and its config checks q and order all the same
     config = ProblemConfig(q=args.q, gradient=getattr(args, "gradient", 1.0), order=args.order)
     if args.command == "inverse":
         check_finite(args.slip, "slip velocity")

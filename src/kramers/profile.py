@@ -205,10 +205,12 @@ def phi_n(
                h_{n-1}(mu) = (1/pi) int E_{n-1}(k1)/(1+k1^2 mu^2) dk1 the
                boundary_distribution of E_{n-1}
 
-    A NaN or infinite mu raises ValueError at every n.
+    A NaN or infinite k or mu raises ValueError at every n.
     """
     if n < 0 or n > series.order or n >= len(densities):
         raise ValueError(f"order {n} exceeds the built series")
+    if not math.isfinite(k):
+        raise ValueError(f"k must be finite, got {k}")
     if not math.isfinite(mu):
         raise ValueError(f"mu must be finite, got {mu}")
     amu = abs(mu)

@@ -73,9 +73,6 @@ class SpectralGrid:
         # velocity corrections
         return cls(np.geomspace(k_min, k_max, count))
 
-    def doubled(self) -> "SpectralGrid":
-        return SpectralGrid(np.geomspace(self.nodes[0], self.nodes[-1], 2 * self.nodes.size))
-
 
 def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Not-a-knot cubic spline through ``(x, y)``, at least 4 points.
@@ -165,7 +162,9 @@ class SpectralDensity:
         if np.isnan(k).any():
             raise ValueError("k must not be NaN")
         flat = np.abs(k).ravel()
-        out = _spline_eval(self._knots, self._coef, flat)
+        # k clipped at k_max: the end cubic overflows from about k = 1e103,
+        # and the tail below overwrites those entries anyway
+        out = _spline_eval(self._knots, self._coef, np.minimum(flat, self._knots[-1]))
         past = flat > self._knots[-1]
         if past.any():
             base = flat[past] / self._knots[-1]
@@ -378,8 +377,8 @@ class ProblemConfig:
     """What a forward solve reads: the diffuseness ``q`` in [0, 1], the
     finite imposed velocity ``gradient`` and the integer truncation
     ``order`` in [0, 12].  The resolution is the build's default: the
-    ``KernelSuite()`` t-rule, ``SpectralGrid.geometric()`` and the density
-    rule ``default_density_quad`` of that grid.
+    ``KernelSuite()`` t-rule, whose 64 nodes per panel set the build's
+    320-node ``SpectralGrid.geometric()`` and its density rule.
     """
 
     q: float = 1.0

@@ -1,13 +1,7 @@
 """Shared fixtures: the series builds are expensive, so they are session-scoped."""
 import pytest
 
-from kramers import (
-    KernelSuite,
-    SpectralGrid,
-    build_series_fwd,
-    build_series_inv,
-    default_density_quad,
-)
+from kramers import KernelSuite, SpectralGrid, build_series_fwd, build_series_inv
 
 
 @pytest.fixture(scope="session")
@@ -17,30 +11,28 @@ def kern():
 
 @pytest.fixture(scope="session")
 def grid():
+    """The k-grid of a default build."""
     return SpectralGrid.geometric()
 
 
 @pytest.fixture(scope="session")
-def forward3(kern, grid):
+def forward3(kern):
     """(series, densities) for the order-3 forward build at default settings."""
-    return build_series_fwd(3, kern, grid)
+    return build_series_fwd(3, kern)
 
 
 @pytest.fixture(scope="session")
-def inverse3(kern, grid):
-    return build_series_inv(3, kern, grid)
+def inverse3(kern):
+    return build_series_inv(3, kern)
 
 
 @pytest.fixture(scope="session")
-def forward3_dbl(grid):
-    """Same build with doubled quadrature nodes and doubled grid density."""
-    kern_dbl = KernelSuite(KernelSuite().spec.doubled())
-    quad_dbl = default_density_quad(grid.k_max).doubled()
-    return build_series_fwd(3, kern_dbl, grid.doubled(), quad_dbl)
+def forward3_dbl():
+    """The order-3 build on the t-rule at twice the nodes per panel, which
+    doubles the k-grid and the density rule of the build as well."""
+    return build_series_fwd(3, KernelSuite(KernelSuite().spec.doubled()))
 
 
 @pytest.fixture(scope="session")
-def inverse3_dbl(grid):
-    kern_dbl = KernelSuite(KernelSuite().spec.doubled())
-    quad_dbl = default_density_quad(grid.k_max).doubled()
-    return build_series_inv(3, kern_dbl, grid.doubled(), quad_dbl)
+def inverse3_dbl():
+    return build_series_inv(3, KernelSuite(KernelSuite().spec.doubled()))

@@ -183,8 +183,9 @@ def test_criterion_7_profile_asymptotics(forward3):
 
 
 def test_criterion_8_self_convergence(forward3, inverse3, forward3_dbl, inverse3_dbl):
-    """Doubling quadrature nodes and grid density moves every criterion 1-4
-    value by less than a tenth of its acceptance tolerance."""
+    """Doubling the t-rule, which doubles the density rule's nodes and the
+    grid density with it, moves every criterion 1-4 value by less than a
+    tenth of its acceptance tolerance."""
     crit = Criterion(8, "self-convergence under doubling")
     for n, (_, tol) in enumerate(V_REFERENCE):
         delta = forward3_dbl[0].coefficients[n] - forward3[0].coefficients[n]

@@ -15,6 +15,10 @@ import kramers
 from kramers.cli import main
 
 
+# an --out path in a directory that does not exist
+MISSING_DIR = os.path.join("{dir}", "missing", "x.csv")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -128,17 +132,30 @@ class TestArgumentErrors:
                                       ("inverse", "--slip", "nan"),
                                       ("coeffs", "--gradient=-inf"),
                                       ("profile", "--xmax", "inf"),
-                                      ("profile", "--xmax", "1e15", "--xstep", "1")])
-    def test_checked_before_the_build(self, capsys, monkeypatch, argv):
-        """A bad drive or x-grid is rejected before any series is built."""
+                                      ("profile", "--xmax", "1e15", "--xstep", "1"),
+                                      ("wall", "--order", "0", "--out", MISSING_DIR),
+                                      ("profile", "--order", "0", "--out", MISSING_DIR),
+                                      ("validate", "--out", MISSING_DIR),
+                                      ("wall", "--order", "0", "--out", "{dir}")])
+    def test_checked_before_the_build(self, capsys, monkeypatch, tmp_path, argv):
+        """A bad drive, x-grid or --out path is rejected before any series is
+        built."""
         def no_build(*args, **kwargs):
             raise AssertionError("series built before the arguments were checked")
 
         monkeypatch.setattr("kramers.cli.build_series_fwd", no_build)
         monkeypatch.setattr("kramers.cli.build_series_inv", no_build)
-        code, out, err = run(capsys, *argv)
+        monkeypatch.setattr("kramers.cli.run_reference_checks", no_build)
+        code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
         assert code == 2 and out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_unwritable_out(self, capsys, tmp_path):
+        """An OSError while writing --out is an argument error, not a
+        numerical failure."""
+        code, out, err = run(capsys, "wall", "--order", "0", "--out", str(tmp_path / ("x" * 300)))
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --out") and err.count("\n") == 1
 
 
 class TestValidate:

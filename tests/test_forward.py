@@ -24,20 +24,25 @@ V1_REFERENCE = 0.140523501325592
 
 
 class TestZerothIterate:
-    def test_value_at_zero(self, kern, grid):
-        e0 = first_iterate(FORWARD, kern, grid)
+    def test_value_at_zero(self, kern):
+        e0 = first_iterate(FORWARD, kern)
         assert e0(0.0) == -0.5
 
-    def test_matches_ratio(self, kern, grid):
-        e0 = first_iterate(FORWARD, kern, grid)
+    def test_matches_ratio(self, kern):
+        e0 = first_iterate(FORWARD, kern)
         for k in (0.01, 0.5, 3.0, 40.0):
             assert e0(k) == pytest.approx(
                 kern.phi0_fwd(k) / kern.t_n(2, k), rel=1e-6, abs=1e-10
             )
 
-    def test_negative_everywhere(self, kern, grid):
-        e0 = first_iterate(FORWARD, kern, grid)
-        assert np.all(e0(grid.nodes) < 0)
+    def test_negative_everywhere(self, kern):
+        e0 = first_iterate(FORWARD, kern)
+        assert np.all(e0(e0.grid.nodes) < 0)
+
+    def test_grid_follows_the_t_rule(self, forward3, forward3_dbl):
+        """n t-nodes per panel give a build 5 n geometric k-nodes on [1e-3, 2000]."""
+        assert np.array_equal(forward3[1][0].grid.nodes, np.geomspace(1e-3, 2000.0, 320))
+        assert np.array_equal(forward3_dbl[1][0].grid.nodes, np.geomspace(1e-3, 2000.0, 640))
 
     def test_tail_exponent(self, forward3):
         # E_0 decays like k^-2 with a logarithmic correction, so the fitted
@@ -63,11 +68,10 @@ class TestCoefficients:
         assert v[3] < v[2] < v[1] < v[0]
 
     def test_linearity(self, kern, grid, forward3):
-        quad = default_density_quad(grid.k_max)
         e0 = forward3[1][0]
         scaled = SpectralDensity(grid, 3.0 * e0(grid.nodes), 3.0 * e0(0.0))
-        assert coefficient(FORWARD, kern, scaled, quad) == pytest.approx(
-            3.0 * coefficient(FORWARD, kern, e0, quad), rel=1e-9
+        assert coefficient(FORWARD, kern, scaled) == pytest.approx(
+            3.0 * coefficient(FORWARD, kern, e0), rel=1e-9
         )
 
 
@@ -83,7 +87,7 @@ class TestOperator:
         quad = default_density_quad(grid.k_max)
         e0 = forward3[1][0]
         e1 = forward3[1][1]
-        v1 = coefficient(FORWARD, kern, e0, quad)
+        v1 = coefficient(FORWARD, kern, e0)
         rng = np.random.default_rng(99)
         for k in rng.uniform(0.05, 8.0, 10):
             raw = -v1 * kern.t_n(1, k) - integrate_halfline(
@@ -106,7 +110,7 @@ class TestOperator:
             )
             assert e1.values[i] == pytest.approx(node, abs=1e-13)
 
-    def test_one_integral_per_apply(self, kern, grid, forward3, monkeypatch):
+    def test_one_integral_per_apply(self, kern, forward3, monkeypatch):
         """The separable operator integrates every k-value in one call."""
         calls = []
 
@@ -115,14 +119,13 @@ class TestOperator:
             return integrate_halfline(*args, **kwargs)
 
         monkeypatch.setattr(forward, "integrate_halfline", counted)
-        apply_operator(FORWARD, kern, forward3[1][0], default_density_quad(grid.k_max))
+        apply_operator(FORWARD, kern, forward3[1][0])
         assert len(calls) == 1
 
     def test_linearity(self, kern, grid, forward3):
-        quad = default_density_quad(grid.k_max)
         e0 = forward3[1][0]
         scaled = SpectralDensity(grid, -2.0 * e0(grid.nodes), -2.0 * e0(0.0))
-        a = apply_operator(FORWARD, kern, scaled, quad)
+        a = apply_operator(FORWARD, kern, scaled)
         b = forward3[1][1]
         assert np.allclose(a(grid.nodes), -2.0 * b(grid.nodes), rtol=1e-8, atol=1e-12)
 

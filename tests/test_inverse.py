@@ -20,12 +20,12 @@ from kramers.spectral import SeriesExpansion, SpectralDensity
 
 
 class TestZerothIterate:
-    def test_value_at_zero(self, kern, grid):
-        e0 = first_iterate(INVERSE, kern, grid)
+    def test_value_at_zero(self, kern):
+        e0 = first_iterate(INVERSE, kern)
         assert e0(0.0) == pytest.approx(-1.0 / SQRT_PI, abs=1e-14)
 
-    def test_matches_ratio(self, kern, grid):
-        e0 = first_iterate(INVERSE, kern, grid)
+    def test_matches_ratio(self, kern):
+        e0 = first_iterate(INVERSE, kern)
         for k in (0.02, 1.0, 10.0):
             assert e0(k) == pytest.approx(
                 kern.phi0_inv(k) / kern.t_n(2, k), rel=1e-6, abs=1e-10
@@ -45,11 +45,10 @@ class TestCoefficients:
         assert w[3] < w[2] < w[1] < w[0]
 
     def test_linearity(self, kern, grid, inverse3):
-        quad = default_density_quad(grid.k_max)
         e0 = inverse3[1][0]
         scaled = SpectralDensity(grid, 4.0 * e0(grid.nodes), 4.0 * e0(0.0))
-        assert coefficient(INVERSE, kern, scaled, quad) == pytest.approx(
-            4.0 * coefficient(INVERSE, kern, e0, quad), rel=1e-9
+        assert coefficient(INVERSE, kern, scaled) == pytest.approx(
+            4.0 * coefficient(INVERSE, kern, e0), rel=1e-9
         )
 
 
@@ -73,7 +72,7 @@ class TestOperator:
             )
             assert e1.values[i] == pytest.approx(node, abs=1e-13)
 
-    def test_one_integral_per_apply(self, kern, grid, inverse3, monkeypatch):
+    def test_one_integral_per_apply(self, kern, inverse3, monkeypatch):
         """The separable operator integrates every k-value in one call."""
         calls = []
 
@@ -82,14 +81,13 @@ class TestOperator:
             return integrate_halfline(*args, **kwargs)
 
         monkeypatch.setattr(forward, "integrate_halfline", counted)
-        apply_operator(INVERSE, kern, inverse3[1][0], default_density_quad(grid.k_max))
+        apply_operator(INVERSE, kern, inverse3[1][0])
         assert len(calls) == 1
 
     def test_linearity(self, kern, grid, inverse3):
-        quad = default_density_quad(grid.k_max)
         e0 = inverse3[1][0]
         scaled = SpectralDensity(grid, 0.5 * e0(grid.nodes), 0.5 * e0(0.0))
-        a = apply_operator(INVERSE, kern, scaled, quad)
+        a = apply_operator(INVERSE, kern, scaled)
         b = inverse3[1][1]
         assert np.allclose(a(grid.nodes), 0.5 * b(grid.nodes), rtol=1e-8, atol=1e-12)
 

@@ -173,6 +173,17 @@ class TestWall:
         parts = EXACT_SLIP_DIFFUSE + velocity_correction(forward3[1], 1.0, 1.0, 0.0)
         assert got == pytest.approx(parts, rel=0.0, abs=1e-12)
 
+    @pytest.mark.xfail(reason="the power-law tail fitted to E_0 past k_max = 2000 integrates "
+                       "to -0.0039066 where E_0 = phi0/T_2 itself gives -0.0036579")
+    def test_order0_diffuse_wall_exact(self):
+        """At q = 1 the order-0 U(0) is EXACT_SLIP_DIFFUSE + (1/pi) int_0^oo E_0 dk.
+        For E_0 = phi0/T_2 on the default t-rule that integral is
+        -1.0727125155260; scipy's quad, split at decades, gives -1.07271251532.
+        The built value reads 7.9e-5 low."""
+        got = wall_velocity(ProblemConfig(q=1.0, gradient=1.0, order=0))
+        assert got == pytest.approx(EXACT_SLIP_DIFFUSE - 1.0727125155260 / math.pi,
+                                    rel=0.0, abs=1e-9)
+
     def test_series_slip_mode(self, forward3):
         """Off the diffuse wall U(0) takes the truncated series slip, so it
         is the x = 0 value of the profile."""
@@ -271,12 +282,14 @@ class TestArguments:
             boundary_distribution(density, mu)
 
     @pytest.mark.parametrize("n", [0, 1, 3])
-    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
-    def test_phi_n_non_finite_mu_rejected(self, forward3, n, mu):
-        """phi_n(0, 0.5, nan) used to return nan+nanj, and an infinite mu
-        nan+nanj with RuntimeWarnings at n >= 1."""
+    @pytest.mark.parametrize("k, mu", [(0.5, math.nan), (0.5, math.inf), (0.5, -math.inf),
+                                       (math.inf, 0.5), (-math.inf, 0.5)],
+                             ids=["nan", "inf", "-inf", "k_inf", "k_-inf"])
+    def test_phi_n_non_finite_mu_rejected(self, forward3, n, k, mu):
+        """phi_n(0, 0.5, nan) used to return nan+nanj, an infinite mu
+        nan+nanj with RuntimeWarnings at n >= 1, and an infinite k nan+nanj."""
         with pytest.raises(ValueError, match="finite"):
-            phi_n(n, 0.5, mu, *forward3)
+            phi_n(n, k, mu, *forward3)
 
     def test_scalar_mu(self, forward3):
         """A scalar mu gives a float, bit for bit the one-element array's
@@ -312,6 +325,17 @@ class TestBoundaryDistribution:
         density = combined_density(forward3[1], q, 1.0)
         h00 = boundary_distribution(density, [0.0]).values[0]
         assert abs(h00 - 2.0 * velocity_correction(forward3[1], q, 1.0, 0.0)) <= 1e-7
+
+    @pytest.mark.xfail(reason="the half-line rule's tail estimate past k_max differs from "
+                       "the fitted power-law tail that the exact transform integrates")
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_wall_value_is_exactly_twice_the_wall_correction(self, forward3, q):
+        """h(0, 0) = 2 U_c(0) is an identity of the two integrals; today it
+        holds to 8.1e-8 at q = 1 and 6.0e-8 at q = 0.5, not to 1e-12."""
+        density = combined_density(forward3[1], q, 1.0)
+        h00 = boundary_distribution(density, 0.0).values
+        assert h00 == pytest.approx(2.0 * velocity_correction(forward3[1], q, 1.0, 0.0),
+                                    rel=0.0, abs=1e-12)
 
     def test_combined_density_prefactor(self, forward3):
         q, g_v = 0.5, 2.0

@@ -331,7 +331,7 @@ class TestFourierCos:
     def test_weights_and_grid_must_match(self, forward3):
         with pytest.raises(ValueError):
             weighted_sum(forward3[1], WEIGHTS[:2])
-        nodes = SpectralGrid.geometric().doubled().nodes
+        nodes = SpectralGrid.geometric(count=640).nodes
         other = SpectralDensity(SpectralGrid(nodes), np.exp(-nodes), 1.0)
         with pytest.raises(ValueError, match="one grid"):
             weighted_sum([forward3[1][0], other], [1.0, 1.0])

@@ -1,6 +1,7 @@
 """Grids, sampled densities, series containers, problem configuration."""
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,12 +25,6 @@ class TestGrid:
         assert grid.k_max == pytest.approx(500.0)
         ratios = grid.nodes[1:] / grid.nodes[:-1]
         assert np.allclose(ratios, ratios[0])
-
-    def test_doubled(self):
-        grid = SpectralGrid.geometric(count=50)
-        dbl = grid.doubled()
-        assert dbl.nodes.size == 2 * grid.nodes.size
-        assert dbl.k_max == pytest.approx(grid.k_max)
 
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
@@ -77,6 +72,18 @@ class TestDensity:
         assert p == pytest.approx(-2.0, abs=0.1)
         k = 1e4
         assert lorentz(k) == pytest.approx(1.0 / (1.0 + k * k), rel=0.05)
+
+    def test_far_tail_without_overflow(self, lorentz):
+        """Far past k_max the value is the tail's, and 0.0 at k = inf; the end
+        cubic used to be evaluated there too and overflowed from about 1e103."""
+        ((c, p),) = lorentz.tails
+        k = np.array([1e160, 1e300, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lorentz(k)
+            assert lorentz(1e300) == got[1]
+        assert got.tolist() == (c * (k / lorentz.grid.k_max) ** p).tolist()
+        assert got[2] == 0.0
 
     def test_self_check_smooth(self, lorentz):
         lorentz.self_check()  # should not raise
