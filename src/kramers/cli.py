@@ -7,9 +7,13 @@ Subcommands:
   profile   velocity profile U(x) on a uniform x-grid
   validate  recompute the built-in reference checks
 
-Exit status: 0 on success, 1 on a numerical failure, 2 on bad arguments or
-an --out file that cannot be written.
-Identical invocations produce byte-identical output.
+Exit status: 0 on success, 1 on a numerical failure (which includes a
+result that is not finite), 2 on bad arguments or an --out file that cannot
+be written.  Identical invocations produce byte-identical output.
+
+Every argument is checked before numpy loads.  numpy and the modules that
+build iterates load only for a command that needs an iterate: ``coeffs`` and
+``inverse`` at order 0 print the exact c_0 of ``kramers.series`` without one.
 """
 from __future__ import annotations
 
@@ -19,15 +23,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .forward import (DiffuseLimitSingular, build_series_fwd, build_series_inv, check_finite,
-                      gradient, slip_velocity)
-from .profile import full_profile, wall_velocity
-from .quadrature import QuadratureError
-from .spectral import GridTooCoarse, ProblemConfig
-from .validation import report_json, report_lines, run_reference_checks
+from .series import (EXACT_C0, DiffuseLimitSingular, NumericalFailure, ProblemConfig,
+                     SeriesExpansion, check_finite, gradient, slip_velocity)
 
 __all__ = ["main"]
 
@@ -90,8 +88,8 @@ def _resolve_format(args) -> str:
     return "table" if sys.stdout.isatty() else "csv"
 
 
-def _x_grid(args) -> np.ndarray:
-    """The uniform profile grid 0, xstep, ..., about xmax."""
+def _x_count(args) -> int:
+    """The number of points of the uniform profile grid 0, xstep, ..., about xmax."""
     # xstep > 0 before the division; a finite ratio gives a finite point count
     if not (0 <= args.xmax < math.inf and 0 < args.xstep < math.inf
             and math.isfinite(args.xmax / args.xstep)):
@@ -99,7 +97,7 @@ def _x_grid(args) -> np.ndarray:
     count = int(round(args.xmax / args.xstep)) + 1
     if count > MAX_X_POINTS:
         raise ValueError(f"--xmax/--xstep gives {count} x-points, more than {MAX_X_POINTS}")
-    return np.linspace(0.0, args.xstep * (count - 1), count)
+    return count
 
 
 def _check_out(path: str) -> None:
@@ -122,26 +120,79 @@ def _emit(text: str, args) -> None:
         raise ValueError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from exc
 
 
-def _rows_out(rows, header, fmt, args) -> None:
+def _rows_text(rows, fmt) -> str:
     """rows: list of (name, value) pairs."""
     if fmt == "json":
-        _emit(json.dumps({name: value for name, value in rows}, indent=2) + "\n", args)
-    elif fmt == "csv":
-        lines = [",".join(header)]
-        lines += [f"{name},{value:.12g}" for name, value in rows]
-        _emit("\n".join(lines) + "\n", args)
+        return json.dumps({name: value for name, value in rows}, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["quantity,value"] + [f"{name},{value:.12g}" for name, value in rows]
     else:
         width = max(len(name) for name, _ in rows)
         lines = [f"{name:<{width}s}  {value: .12g}" for name, value in rows]
-        _emit("\n".join(lines) + "\n", args)
+    return "\n".join(lines) + "\n"
+
+
+def _profile_text(prof, fmt) -> str:
+    if fmt == "json":
+        return prof.to_json() + "\n"
+    if fmt == "csv":
+        return prof.to_csv()
+    header = f"{'x':>10s} {'U_total':>16s} {'U_asymptote':>16s} {'U_correction':>16s}"
+    lines = [header] + [
+        f"{x:10.4f} {t:16.9g} {a:16.9g} {c:16.9g}"
+        for x, t, a, c in zip(prof.x_nodes, prof.total, prof.asymptote, prof.correction)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _series(kind: str, order: int) -> SeriesExpansion:
+    """The series of ``kind`` through ``order``: at order 0 the exact (c_0,),
+    which needs no iterate, else the build's."""
+    if order == 0:
+        return SeriesExpansion(kind, (EXACT_C0[kind],))
+    from .forward import build_series_fwd, build_series_inv
+
+    return (build_series_fwd if kind == "forward" else build_series_inv)(order)[0]
+
+
+def _rows(args, config: ProblemConfig) -> list[tuple[str, float]]:
+    """The (name, value) rows that coeffs, inverse or wall print."""
+    if args.command == "inverse":
+        series = _series("inverse", config.order)
+        rows = [(f"W_{n}", c) for n, c in enumerate(series.coefficients)]
+        return rows + [("gradient", gradient(series, config.q, args.slip))]
+    if args.command == "coeffs":
+        series = _series("forward", config.order)
+        rows = [(f"V_{n}", c) for n, c in enumerate(series.coefficients)]
+        return rows + [("slip_velocity", slip_velocity(series, config.q, config.gradient))]
+    from .forward import build_series_fwd
+    from .profile import wall_velocity
+
+    return [("wall_velocity", wall_velocity(config, *build_series_fwd(config.order)))]
+
+
+def _profile(config: ProblemConfig, xstep: float, count: int):
+    """U(x) at x = 0, xstep, ..., (count - 1) xstep."""
+    import numpy as np
+
+    from .forward import build_series_fwd
+    from .profile import full_profile
+
+    series, densities = build_series_fwd(config.order)
+    x_nodes = np.linspace(0.0, xstep * (count - 1), count)
+    # an overflow leaves an inf or nan in the profile, which _run reports as one failure
+    with np.errstate(all="ignore"):
+        return full_profile(config, x_nodes, series, densities)
 
 
 def _run(args) -> int:
-    # every argument is checked before the build or the reference checks
+    # every argument is checked before numpy, a build or the reference checks
     fmt = _resolve_format(args)
     if args.out:
         _check_out(args.out)
     if args.command == "validate":
+        from .validation import report_json, report_lines, run_reference_checks
+
         results = run_reference_checks()
         if fmt == "json":
             _emit(report_json(results) + "\n", args)
@@ -153,37 +204,23 @@ def _run(args) -> int:
     config = ProblemConfig(q=args.q, gradient=getattr(args, "gradient", 1.0), order=args.order)
     if args.command == "inverse":
         check_finite(args.slip, "slip velocity")
-    x_nodes = _x_grid(args) if args.command == "profile" else None
-
-    if args.command == "inverse":
-        series, _ = build_series_inv(config.order)
-        rows = [(f"W_{n}", c) for n, c in enumerate(series.coefficients)]
-        rows.append(("gradient", gradient(series, config.q, args.slip)))
-        _rows_out(rows, ("quantity", "value"), fmt, args)
-        return 0
-
-    series, densities = build_series_fwd(config.order)
-
-    if args.command == "coeffs":
-        rows = [(f"V_{n}", c) for n, c in enumerate(series.coefficients)]
-        rows.append(("slip_velocity", slip_velocity(series, config.q, config.gradient)))
-        _rows_out(rows, ("quantity", "value"), fmt, args)
-    elif args.command == "wall":
-        u0 = wall_velocity(config, series, densities)
-        _rows_out([("wall_velocity", u0)], ("quantity", "value"), fmt, args)
     elif args.command == "profile":
-        prof = full_profile(config, x_nodes, series, densities)
-        if fmt == "json":
-            _emit(prof.to_json() + "\n", args)
-        elif fmt == "csv":
-            _emit(prof.to_csv(), args)
-        else:
-            header = f"{'x':>10s} {'U_total':>16s} {'U_asymptote':>16s} {'U_correction':>16s}"
-            lines = [header] + [
-                f"{x:10.4f} {t:16.9g} {a:16.9g} {c:16.9g}"
-                for x, t, a, c in zip(prof.x_nodes, prof.total, prof.asymptote, prof.correction)
-            ]
-            _emit("\n".join(lines) + "\n", args)
+        x_count = _x_count(args)
+    # every other command prints the slip or values built on it
+    if args.command != "inverse" and config.q == 0.0:
+        raise DiffuseLimitSingular()
+
+    if args.command == "profile":
+        prof = _profile(config, args.xstep, x_count)
+        values = prof.total.tolist() + prof.asymptote.tolist() + prof.correction.tolist()
+        text = _profile_text(prof, fmt)
+    else:
+        rows = _rows(args, config)
+        values, text = [value for _, value in rows], _rows_text(rows, fmt)
+    for value in values:
+        if not math.isfinite(value):
+            raise NumericalFailure(f"a result is {value}: the inputs overflow double precision")
+    _emit(text, args)
     return 0
 
 
@@ -195,7 +232,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DiffuseLimitSingular, GridTooCoarse, QuadratureError) as exc:
+    except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
 

@@ -10,8 +10,8 @@ subtraction is ever performed.  A ``SeriesKind`` holds all that sets the two
 series apart: FORWARD gives the slip coefficients V_n, INVERSE the gradient
 coefficients W_n.
 
-The slip velocity is  V_sl(q) = g_v (2-q)/q * sum_n V_n q^n, and the
-recovered gradient  g_v(q) = V_sl * q/(2-q) * sum_n W_n q^n.
+The slip velocity and the recovered gradient are read from a built series
+by ``slip_velocity`` and ``gradient`` (``kramers.series``).
 """
 from __future__ import annotations
 
@@ -23,7 +23,10 @@ import numpy as np
 
 from .kernels import SQRT_PI, KernelSuite
 from .quadrature import QuadratureSpec, integrate_halfline
-from .spectral import SeriesExpansion, SpectralDensity, SpectralGrid
+# DiffuseLimitSingular, check_finite, gradient and slip_velocity stay importable from here
+from .series import (EXACT_C0, DiffuseLimitSingular, SeriesExpansion, check_finite, gradient,
+                     slip_velocity)
+from .spectral import SpectralDensity, SpectralGrid
 
 __all__ = [
     "DiffuseLimitSingular",
@@ -40,10 +43,6 @@ __all__ = [
     "check_finite",
     "default_density_quad",
 ]
-
-
-class DiffuseLimitSingular(Exception):
-    """q = 0 makes the (2-q)/q prefactor diverge (pure specular reflection)."""
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,12 @@ class SeriesKind:
 
 
 FORWARD = SeriesKind(
-    "forward", 0.5 * SQRT_PI, -0.5, KernelSuite.phi0_fwd, KernelSuite.s_fwd_factors, -1.0,
+    "forward", EXACT_C0["forward"], -0.5, KernelSuite.phi0_fwd, KernelSuite.s_fwd_factors, -1.0,
     lambda m: -m / SQRT_PI,
 )
 INVERSE = SeriesKind(
-    "inverse", 2.0 / SQRT_PI, -1.0 / SQRT_PI, KernelSuite.phi0_inv, KernelSuite.s_inv_factors,
-    1.0, lambda m: 2.0 / math.pi * m,
+    "inverse", EXACT_C0["inverse"], -1.0 / SQRT_PI, KernelSuite.phi0_inv,
+    KernelSuite.s_inv_factors, 1.0, lambda m: 2.0 / math.pi * m,
 )
 
 
@@ -174,35 +173,3 @@ def build_series_inv(
     at the resolution ``kern`` sets as in ``build_series_fwd``."""
     return _build_series(INVERSE, order, kern)
 
-
-def check_finite(value: float, name: str) -> None:
-    """Raise ValueError unless the drive ``value`` (the gradient or the slip
-    velocity) is finite; the CLI calls it before any build."""
-    if not math.isfinite(value):
-        raise ValueError(f"the {name} must be finite, got {value}")
-
-
-def slip_velocity(series: SeriesExpansion, q: float, g_v: float) -> float:
-    """V_sl(q) = g_v (2-q)/q * sum_n V_n q^n."""
-    if series.kind != "forward":
-        raise ValueError("slip_velocity needs a forward series")
-    check_finite(g_v, "gradient")
-    if q == 0.0:
-        raise DiffuseLimitSingular(
-            "slip velocity is unbounded for q = 0 (purely specular wall)"
-        )
-    if not (0.0 < q <= 1.0):
-        raise ValueError(f"q must lie in (0, 1], got {q}")
-    return g_v * (2.0 - q) / q * series.partial_sum(q)
-
-
-def gradient(series: SeriesExpansion, q: float, v_sl: float) -> float:
-    """g_v(q) = V_sl * q/(2-q) * sum_n W_n q^n; exactly zero at q = 0."""
-    if series.kind != "inverse":
-        raise ValueError("gradient needs an inverse series")
-    check_finite(v_sl, "slip velocity")
-    if not (0.0 <= q <= 1.0):
-        raise ValueError(f"q must lie in [0, 1], got {q}")
-    if q == 0.0:
-        return 0.0
-    return v_sl * q / (2.0 - q) * series.partial_sum(q)

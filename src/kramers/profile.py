@@ -19,15 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import build_series_fwd, check_finite, default_density_quad, slip_velocity
+from .forward import build_series_fwd, default_density_quad
 from .quadrature import integrate_halfline
-from .spectral import (
-    ProblemConfig,
-    SeriesExpansion,
-    SpectralDensity,
-    cosine_transform,
-    weighted_sum,
-)
+from .series import ProblemConfig, SeriesExpansion, check_finite, slip_velocity
+from .spectral import SpectralDensity, cosine_transform, weighted_sum
 
 __all__ = [
     "EXACT_SLIP_DIFFUSE",

@@ -25,6 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .series import NumericalFailure
+
 __all__ = [
     "QuadratureSpec",
     "QuadratureError",
@@ -41,7 +43,7 @@ _GAUSS_CUTOFF = 9.0
 _MAX_ROUNDS = 4
 
 
-class QuadratureError(Exception):
+class QuadratureError(NumericalFailure):
     """Base class for integration failures."""
 
 

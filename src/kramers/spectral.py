@@ -1,4 +1,4 @@
-"""Grid-sampled spectral densities and the series containers.
+"""Grid-sampled spectral densities and their exact cosine transform.
 
 The continuous spectral variable k is discretized on a geometric grid; the
 finite k -> 0 limit of each density is stored separately (after pole removal
@@ -12,12 +12,13 @@ and every density has an exact cosine transform (``cosine_transform``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import TailDivergence, _gauss_legendre
+# SeriesExpansion and ProblemConfig stay importable from here
+from .series import NumericalFailure, ProblemConfig, SeriesExpansion
 
 __all__ = [
     "SpectralGrid",
@@ -42,7 +43,7 @@ _TAIL_NODES = 64
 _SMALL_PHASE_TERMS = 10
 
 
-class GridTooCoarse(Exception):
+class GridTooCoarse(NumericalFailure):
     """The interpolation self-check failed on a coarsened grid."""
 
 
@@ -344,51 +345,3 @@ def _power_tail(c: float, p: float, k_max: float, x: np.ndarray) -> np.ndarray:
     out[pos] = c * k_max * integral
     return out
 
-
-@dataclass(frozen=True)
-class SeriesExpansion:
-    """Ordered expansion coefficients in powers of the diffuseness q."""
-
-    kind: str  # "forward" (slip series) or "inverse" (gradient series)
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.kind not in ("forward", "inverse"):
-            raise ValueError(f"unknown series kind {self.kind!r}")
-        coeffs = tuple(float(c) for c in self.coefficients)
-        if not coeffs or not all(math.isfinite(c) for c in coeffs):
-            raise ValueError("coefficients must be a nonempty finite sequence")
-        object.__setattr__(self, "coefficients", coeffs)
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def partial_sum(self, q: float, order: int | None = None) -> float:
-        """Sum of c_n q^n through the given order (default: all)."""
-        last = self.order if order is None else order
-        if not 0 <= last <= self.order:
-            raise ValueError(f"order must lie in [0, {self.order}] (the built order), got {last}")
-        return float(sum(c * q**n for n, c in enumerate(self.coefficients[: last + 1])))
-
-
-@dataclass(frozen=True)
-class ProblemConfig:
-    """What a forward solve reads: the diffuseness ``q`` in [0, 1], the
-    finite imposed velocity ``gradient`` and the integer truncation
-    ``order`` in [0, 12].  The resolution is the build's default: the
-    ``KernelSuite()`` t-rule, whose 64 nodes per panel set the build's
-    320-node ``SpectralGrid.geometric()`` and its density rule.
-    """
-
-    q: float = 1.0
-    gradient: float = 1.0
-    order: int = 3
-
-    def __post_init__(self):
-        if not (0.0 <= self.q <= 1.0):
-            raise ValueError(f"q must lie in [0, 1], got {self.q}")
-        if not isinstance(self.order, numbers.Integral) or not (0 <= self.order <= 12):
-            raise ValueError(f"order must be an integer in [0, 12], got {self.order!r}")
-        if not isinstance(self.gradient, numbers.Real) or not math.isfinite(self.gradient):
-            raise ValueError(f"gradient must be a finite number, got {self.gradient!r}")

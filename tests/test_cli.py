@@ -3,6 +3,7 @@
 Low truncation orders keep these runs cheap; the numbers themselves are
 covered by the acceptance suite.
 """
+import importlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import kramers
+from kramers import build_series_fwd, build_series_inv
 from kramers.cli import main
 
 
@@ -143,12 +145,30 @@ class TestArgumentErrors:
         def no_build(*args, **kwargs):
             raise AssertionError("series built before the arguments were checked")
 
-        monkeypatch.setattr("kramers.cli.build_series_fwd", no_build)
-        monkeypatch.setattr("kramers.cli.build_series_inv", no_build)
-        monkeypatch.setattr("kramers.cli.run_reference_checks", no_build)
+        # the CLI imports these where it needs them, so it reads the patched
+        # names; validation goes first, so that its import (and profile's)
+        # binds forward's own builds, not no_build
+        monkeypatch.setattr("kramers.validation.run_reference_checks", no_build)
+        monkeypatch.setattr("kramers.forward.build_series_fwd", no_build)
+        monkeypatch.setattr("kramers.forward.build_series_inv", no_build)
         code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [("coeffs", "--q", "5e-324", "--order", "0"),
+                                      ("coeffs", "--gradient", "1e308", "--q", "1e-10",
+                                       "--order", "0"),
+                                      ("inverse", "--slip", "1.7e308", "--order", "0"),
+                                      ("wall", "--q", "1e-320", "--order", "0"),
+                                      ("profile", "--q", "1e-320", "--order", "0", "--xmax", "1"),
+                                      ("profile", "--gradient", "1.7e308", "--order", "0",
+                                       "--xmax", "1", "--format", "json")])
+    def test_non_finite_result_is_a_failure(self, capsys, argv):
+        """Finite arguments whose result overflows print no inf or nan: one
+        failure line, exit 1, and no warning."""
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
 
     def test_unwritable_out(self, capsys, tmp_path):
         """An OSError while writing --out is an argument error, not a
@@ -179,22 +199,80 @@ class TestValidate:
         assert option in capsys.readouterr().err
 
 
+def cold_python(code: str, *argv: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports this kramers."""
+    package_root = str(Path(kramers.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# runs that need no iterate: argument errors, the q = 0 failure, order 0 of coeffs and inverse
+NUMPY_FREE = [(("--help",), 0),
+              (("--version",), 0),
+              (("coeffs", "--q", "2"), 2),
+              (("coeffs", "--order", "13"), 2),
+              (("inverse", "--slip", "nan"), 2),
+              (("profile", "--xmax", "inf"), 2),
+              (("coeffs", "--order", "0", "--out", "/nonexistent/x"), 2),
+              (("profile", "--q", "0", "--order", "0"), 1),
+              (("wall", "--q", "0"), 1),
+              (("coeffs", "--order", "0", "--json"), 0),
+              (("inverse", "--slip", "1", "--order", "0"), 0)]
+
+
 class TestImport:
     def test_no_scipy_at_runtime(self):
-        """A cold CLI run loads numpy but no scipy module."""
-        code = (
+        """A cold CLI run that builds an iterate loads numpy but no scipy module."""
+        out = cold_python(
             "import sys, kramers.cli\n"
             "assert kramers.cli.main(['wall', '--order', '0']) == 0\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+            "print('numpy' in sys.modules)\n"
         )
-        package_root = str(Path(kramers.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=120,
+        assert out.splitlines()[-2:] == ["[]", "True"]
+
+    def test_numpy_free_runs(self):
+        """Each run in NUMPY_FREE exits with its code and leaves numpy unloaded."""
+        out = cold_python(
+            "import contextlib, io, json, sys\n"
+            "from kramers.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        try:\n"
+            "            code = main(argv)\n"
+            "        except SystemExit as exc:\n"
+            "            code = exc.code\n"
+            "    print(json.dumps([code, 'numpy' in sys.modules]))\n",
+            json.dumps([argv for argv, _ in NUMPY_FREE]),
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert [json.loads(line) for line in out.splitlines()] == [
+            [code, False] for _, code in NUMPY_FREE]
+
+    def test_exports(self):
+        """Each name of __all__ is its module's own object and is listed by
+        dir(); any other name is an AttributeError."""
+        for name in kramers.__all__:
+            module = importlib.import_module(f"kramers.{kramers._MODULE_OF[name]}")
+            value = getattr(kramers, name)
+            assert value is getattr(module, name)
+            if callable(value):
+                assert value.__module__ == module.__name__
+            assert name in dir(kramers)
+        with pytest.raises(AttributeError):
+            kramers.no_such_name
+
+    def test_order0_series_is_the_build(self, capsys):
+        """Order 0 prints the exact c_0 that the order-0 build holds."""
+        _, out, _ = run(capsys, "coeffs", "--order", "0", "--json")
+        assert json.loads(out)["V_0"] == build_series_fwd(0)[0].coefficients[0]
+        _, out, _ = run(capsys, "inverse", "--slip", "1", "--order", "0", "--json")
+        assert json.loads(out)["W_0"] == build_series_inv(0)[0].coefficients[0]

@@ -223,6 +223,9 @@ class TestProblemConfig:
             ProblemConfig(q=1.5)
         with pytest.raises(ValueError):
             ProblemConfig(q=-0.1)
+        for bad in (None, "0.5"):
+            with pytest.raises(ValueError):
+                ProblemConfig(q=bad)
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
