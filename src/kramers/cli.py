@@ -14,18 +14,18 @@ be written.  Identical invocations produce byte-identical output.
 Every argument is checked before numpy loads.  numpy and the modules that
 build iterates load only for a command that needs an iterate: ``coeffs`` and
 ``inverse`` at order 0 print the exact c_0 of ``kramers.series`` without one.
+``json`` loads only to write JSON output.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
 
 from . import __version__
 from .series import (EXACT_C0, DiffuseLimitSingular, NumericalFailure, ProblemConfig,
-                     SeriesExpansion, check_finite, gradient, slip_velocity)
+                     SeriesExpansion, check_finite, finite_result, gradient, slip_velocity)
 
 __all__ = ["main"]
 
@@ -123,6 +123,8 @@ def _emit(text: str, args) -> None:
 def _rows_text(rows, fmt) -> str:
     """rows: list of (name, value) pairs."""
     if fmt == "json":
+        import json
+
         return json.dumps({name: value for name, value in rows}, indent=2) + "\n"
     if fmt == "csv":
         lines = ["quantity,value"] + [f"{name},{value:.12g}" for name, value in rows]
@@ -218,8 +220,7 @@ def _run(args) -> int:
         rows = _rows(args, config)
         values, text = [value for _, value in rows], _rows_text(rows, fmt)
     for value in values:
-        if not math.isfinite(value):
-            raise NumericalFailure(f"a result is {value}: the inputs overflow double precision")
+        finite_result(value)
     _emit(text, args)
     return 0
 

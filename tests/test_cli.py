@@ -226,6 +226,8 @@ NUMPY_FREE = [(("--help",), 0),
               (("wall", "--q", "0"), 1),
               (("coeffs", "--order", "0", "--json"), 0),
               (("inverse", "--slip", "1", "--order", "0"), 0)]
+# the modules none of them loads; json loads only for JSON output
+COLD_UNLOADED = ("numpy", "dataclasses", "inspect", "json")
 
 
 class TestImport:
@@ -240,22 +242,31 @@ class TestImport:
         assert out.splitlines()[-2:] == ["[]", "True"]
 
     def test_numpy_free_runs(self):
-        """Each run in NUMPY_FREE exits with its code and leaves numpy unloaded."""
+        """Each run in NUMPY_FREE exits with its code and leaves numpy,
+        dataclasses and inspect unloaded, and json too unless it writes JSON.
+        One interpreter makes the runs, those without --json first; it imports
+        none of these modules itself."""
+        runs = sorted(NUMPY_FREE, key=lambda run: "--json" in run[0])
         out = cold_python(
-            "import contextlib, io, json, sys\n"
+            "import contextlib, io, sys\n"
+            f"watched = {COLD_UNLOADED!r}\n"
+            "print(*(m in sys.modules for m in watched))\n"
             "from kramers.cli import main\n"
-            "for argv in json.loads(sys.argv[1]):\n"
+            "for argv in sys.argv[1:]:\n"
             "    with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "        try:\n"
-            "            code = main(argv)\n"
+            "            code = main(argv.split())\n"
             "        except SystemExit as exc:\n"
             "            code = exc.code\n"
-            "    print(json.dumps([code, 'numpy' in sys.modules]))\n",
-            json.dumps([argv for argv, _ in NUMPY_FREE]),
+            "    print(code, *(m in sys.modules for m in watched))\n",
+            *(" ".join(argv) for argv, _ in runs),
         )
-        assert [json.loads(line) for line in out.splitlines()] == [
-            [code, False] for _, code in NUMPY_FREE]
+        lines = [line.split() for line in out.splitlines()]
+        assert lines[0] == ["False"] * len(COLD_UNLOADED)
+        assert lines[1:] == [
+            [str(code), *(str(m == "json" and "--json" in argv) for m in COLD_UNLOADED)]
+            for argv, code in runs]
 
     def test_exports(self):
         """Each name of __all__ is its module's own object and is listed by

@@ -16,6 +16,7 @@ from kramers.forward import (
 )
 from kramers.kernels import SQRT_PI
 from kramers.quadrature import integrate_halfline
+from kramers.series import NumericalFailure
 from kramers.spectral import SeriesExpansion, SpectralDensity
 
 # mpmath (30 digits) from the closed-form double integral for the first
@@ -165,3 +166,10 @@ class TestSlipVelocity:
     def test_non_finite_gradient_rejected(self, forward3, g_v):
         with pytest.raises(ValueError, match="finite"):
             slip_velocity(forward3[0], 0.5, g_v)
+
+    @pytest.mark.parametrize("q, g_v, text", [(5e-324, 1.0, "inf"), (1e-10, -1e308, "-inf")])
+    def test_overflow_is_a_failure(self, forward3, q, g_v, text):
+        """Finite inputs whose slip overflows raise the CLI's failure, not inf."""
+        with pytest.raises(NumericalFailure) as exc:
+            slip_velocity(forward3[0], q, g_v)
+        assert str(exc.value) == f"a result is {text}: the inputs overflow double precision"

@@ -1,12 +1,15 @@
 """Grids, sampled densities, series containers, problem configuration."""
-import dataclasses
+import copy
+import inspect
 import math
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
 from kramers import build_series_fwd
+from kramers.series import NumericalFailure, finite_result
 from kramers.spectral import (
     GridTooCoarse,
     ProblemConfig,
@@ -201,6 +204,70 @@ class TestSeries:
         for order in (-1, -2, -3):
             with pytest.raises(ValueError):
                 s.partial_sum(1.0, order)
+        # a non-integer order is a ValueError, not a TypeError from slicing
+        for order in (1.5, 1.0, "1"):
+            with pytest.raises(ValueError, match="integer"):
+                s.partial_sum(1.0, order)
+        assert s.partial_sum(1.0, np.int64(1)) == 3.0
+
+    def test_finite_result(self):
+        assert finite_result(-2.5) == -2.5
+        with pytest.raises(NumericalFailure, match="^a result is nan: the inputs overflow"):
+            finite_result(math.nan)
+
+
+# (class, positional field values, the repr of an instance made from them)
+RECORDS = [
+    (SeriesExpansion, ("forward", (1.0, -0.5)),
+     "SeriesExpansion(kind='forward', coefficients=(1.0, -0.5))"),
+    (ProblemConfig, (0.5, 2.0, 1), "ProblemConfig(q=0.5, gradient=2.0, order=1)"),
+]
+
+
+class TestValueSemantics:
+    """SeriesExpansion and ProblemConfig behave as frozen values: built by
+    position or keyword, equal and hashed by their fields, shown as
+    ``Class(field=value, ...)`` and never changed after construction."""
+
+    @pytest.mark.parametrize("cls, values, text", RECORDS)
+    def test_construction_and_repr(self, cls, values, text):
+        names = list(inspect.signature(cls).parameters)
+        by_position = cls(*values)
+        by_keyword = cls(**dict(zip(names, values)))
+        assert by_position == by_keyword
+        assert repr(by_position) == repr(by_keyword) == text
+        assert [getattr(by_position, name) for name in names] == list(values)
+
+    @pytest.mark.parametrize("cls, values, text", RECORDS)
+    def test_equality_and_hash(self, cls, values, text):
+        a, b = cls(*values), cls(*values)
+        assert a == b and not a != b and hash(a) == hash(b)
+        assert hash(a) == hash(values)
+        assert len({a, b}) == 1
+        assert a != values and a != object()
+        other = cls(*values[:-1], 3) if cls is ProblemConfig else cls("inverse", values[1])
+        assert a != other and len({a, other}) == 2
+
+    @pytest.mark.parametrize("cls, values, text", RECORDS)
+    def test_immutable(self, cls, values, text):
+        a = cls(*values)
+        for name in inspect.signature(cls).parameters:
+            with pytest.raises(AttributeError):
+                setattr(a, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(a, name)
+        assert a == cls(*values)
+
+    @pytest.mark.parametrize("cls, values, text", RECORDS)
+    def test_copy_and_pickle(self, cls, values, text):
+        a = cls(*values)
+        for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+            assert twin == a and type(twin) is cls
+
+    def test_coefficients_stored_as_float_tuple(self):
+        s = SeriesExpansion(kind="inverse", coefficients=[np.float64(2.0), 1])
+        assert s.coefficients == (2.0, 1.0) and type(s.coefficients[1]) is float
+        assert s == SeriesExpansion("inverse", (2.0, 1.0))
 
 
 class TestProblemConfig:
@@ -209,9 +276,13 @@ class TestProblemConfig:
         assert cfg.q == 1.0 and cfg.gradient == 1.0 and cfg.order == 3
 
     def test_fields(self):
-        assert [f.name for f in dataclasses.fields(ProblemConfig)] == [
-            "q", "gradient", "order"
-        ]
+        """The three fields, in order, and no other attribute."""
+        assert list(inspect.signature(ProblemConfig).parameters) == ["q", "gradient", "order"]
+        cfg = ProblemConfig()
+        for name in ("q", "gradient", "order", "grid", "quad", "nodes"):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, 1)
+        assert cfg == ProblemConfig()
 
     @pytest.mark.parametrize("bad", [None, math.nan, math.inf, -math.inf])
     def test_gradient_finite(self, bad):
