@@ -7,9 +7,11 @@ Subcommands:
   profile   velocity profile U(x) on a uniform x-grid
   validate  recompute the built-in reference checks
 
-Exit status: 0 on success, 1 on a numerical failure (which includes a
-result that is not finite), 2 on bad arguments or an --out file that cannot
-be written.  Identical invocations produce byte-identical output.
+Exit status: 0 on success, 1 on a numerical failure, 2 on bad arguments or
+an --out file that cannot be written.  A numerical failure is the library's
+``NumericalFailure``; a result that overflows to inf or nan is one, raised
+by the readout that computes it.  Identical invocations produce
+byte-identical output.
 
 Every argument is checked before numpy loads.  numpy and the modules that
 build iterates load only for a command that needs an iterate: ``coeffs`` and
@@ -25,7 +27,7 @@ import sys
 
 from . import __version__
 from .series import (EXACT_C0, DiffuseLimitSingular, NumericalFailure, ProblemConfig,
-                     SeriesExpansion, check_finite, finite_result, gradient, slip_velocity)
+                     SeriesExpansion, check_finite, gradient, slip_velocity)
 
 __all__ = ["main"]
 
@@ -167,24 +169,18 @@ def _rows(args, config: ProblemConfig) -> list[tuple[str, float]]:
         series = _series("forward", config.order)
         rows = [(f"V_{n}", c) for n, c in enumerate(series.coefficients)]
         return rows + [("slip_velocity", slip_velocity(series, config.q, config.gradient))]
-    from .forward import build_series_fwd
     from .profile import wall_velocity
 
-    return [("wall_velocity", wall_velocity(config, *build_series_fwd(config.order)))]
+    return [("wall_velocity", wall_velocity(config))]
 
 
 def _profile(config: ProblemConfig, xstep: float, count: int):
     """U(x) at x = 0, xstep, ..., (count - 1) xstep."""
     import numpy as np
 
-    from .forward import build_series_fwd
     from .profile import full_profile
 
-    series, densities = build_series_fwd(config.order)
-    x_nodes = np.linspace(0.0, xstep * (count - 1), count)
-    # an overflow leaves an inf or nan in the profile, which _run reports as one failure
-    with np.errstate(all="ignore"):
-        return full_profile(config, x_nodes, series, densities)
+    return full_profile(config, np.linspace(0.0, xstep * (count - 1), count))
 
 
 def _run(args) -> int:
@@ -213,14 +209,9 @@ def _run(args) -> int:
         raise DiffuseLimitSingular()
 
     if args.command == "profile":
-        prof = _profile(config, args.xstep, x_count)
-        values = prof.total.tolist() + prof.asymptote.tolist() + prof.correction.tolist()
-        text = _profile_text(prof, fmt)
+        text = _profile_text(_profile(config, args.xstep, x_count), fmt)
     else:
-        rows = _rows(args, config)
-        values, text = [value for _, value in rows], _rows_text(rows, fmt)
-    for value in values:
-        finite_result(value)
+        text = _rows_text(_rows(args, config), fmt)
     _emit(text, args)
     return 0
 

@@ -15,13 +15,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .forward import build_series_fwd, default_density_quad
-from .quadrature import integrate_halfline
-from .series import ProblemConfig, SeriesExpansion, check_finite, slip_velocity
+from .quadrature import _finite, integrate_halfline
+from .series import ProblemConfig, SeriesExpansion, check_finite, finite_result, slip_velocity
 from .spectral import SpectralDensity, cosine_transform, weighted_sum
 
 __all__ = [
@@ -86,10 +87,12 @@ class DistributionSlice:
 
 
 def _series_sum(densities: list[SpectralDensity], q: float, g_v: float, scale: float):
-    """``scale * sum_n q^n E_n`` as one density; g_v finite, q in [0, 1]."""
+    """``scale * sum_n q^n E_n`` as one density; g_v finite, q in [0, 1], and
+    a NumericalFailure if ``scale`` or the sum overflows."""
     check_finite(g_v, "gradient")
     if not (0.0 <= q <= 1.0):
         raise ValueError(f"q must lie in [0, 1], got {q}")
+    finite_result(scale)
     return weighted_sum(densities, [scale * q**n for n in range(len(densities))])
 
 
@@ -103,10 +106,13 @@ def velocity_correction(
 
     ``x`` may be a scalar, which gives a float, or an array, which gives an
     array of the same shape.  The iterates combine with their weights q^n
-    (``spectral.weighted_sum``) before one exact cosine transform.
+    (``spectral.weighted_sum``) before one exact cosine transform.  A
+    result that overflows is a NumericalFailure.
     """
-    total = _series_sum(densities, q, g_v, 1.0)
-    return g_v * (2.0 - q) / math.pi * cosine_transform(total, x)
+    transform = cosine_transform(_series_sum(densities, q, g_v, 1.0), x)
+    # g_v (2-q)/pi may overflow to inf, and inf times a zero transform is nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(g_v * (2.0 - q) / math.pi * transform)
 
 
 def _forward_build(config: ProblemConfig, series, densities):
@@ -126,16 +132,20 @@ def full_profile(
     series: SeriesExpansion | None = None,
     densities: list[SpectralDensity] | None = None,
 ) -> VelocityProfile:
-    """U(x) = V_sl(q) + g_v x + U_c(x) on the given x-grid."""
+    """U(x) = V_sl(q) + g_v x + U_c(x) on the given x-grid; a NumericalFailure
+    if a value overflows."""
     series, densities = _forward_build(config, series, densities)
     x_nodes = np.asarray(x_nodes, dtype=float)
     g_v, q = config.gradient, config.q
     v_sl = slip_velocity(series, q, g_v)
     correction = velocity_correction(densities, q, g_v, x_nodes)
-    asymptote = v_sl + g_v * x_nodes
+    with np.errstate(over="ignore"):
+        asymptote = v_sl + g_v * x_nodes
+        # the correction is finite, so a finite total has a finite asymptote
+        total = _finite(asymptote + correction)
     return VelocityProfile(
         x_nodes=x_nodes,
-        total=asymptote + correction,
+        total=total,
         asymptote=asymptote,
         correction=correction,
         q=q,
@@ -153,16 +163,18 @@ def wall_velocity(
     At q = 1 the slip in the sum is the exact diffuse benchmark
     ``g_v * EXACT_SLIP_DIFFUSE`` (the decomposition the reference partial
     sums use); at any other q it is the truncated series ``slip_velocity``,
-    so U(0) equals ``full_profile(...).total[0]`` there.
+    so U(0) equals ``full_profile(...).total[0]`` there.  A result that
+    overflows is a NumericalFailure.
     """
     series, densities = _forward_build(config, series, densities)
     g_v, q = config.gradient, config.q
     v_sl = g_v * EXACT_SLIP_DIFFUSE if q == 1.0 else slip_velocity(series, q, g_v)
-    return v_sl + velocity_correction(densities, q, g_v, 0.0)
+    return finite_result(v_sl + velocity_correction(densities, q, g_v, 0.0))
 
 
 def combined_density(densities: list[SpectralDensity], q: float, g_v: float) -> SpectralDensity:
-    """Total spectral density E(k) = 2 g_v (2-q) sum_n q^n E_n(k), one density."""
+    """Total spectral density E(k) = 2 g_v (2-q) sum_n q^n E_n(k), one density;
+    a NumericalFailure if it overflows."""
     return _series_sum(densities, q, g_v, 2.0 * g_v * (2.0 - q))
 
 
@@ -174,13 +186,16 @@ def boundary_distribution(density: SpectralDensity, mu_nodes) -> DistributionSli
     of one row-valued integrate_halfline call under
     ``default_density_quad(density.grid.k_max)``, each under the scalar
     rule.  A scalar mu gives a float ``values``, an array of mu an array of
-    its shape.  A NaN or infinite mu raises ValueError.
+    its shape.  A NaN or infinite mu raises ValueError, and a value that
+    overflows NumericalFailure.
     """
     mu_nodes = np.asarray(mu_nodes, dtype=float)
     if not np.isfinite(mu_nodes).all():
         raise ValueError(f"mu must be finite, not NaN or inf, got {mu_nodes}")
     mu, quad = mu_nodes.reshape(-1, 1), default_density_quad(density.grid.k_max)
-    values = integrate_halfline(lambda k: density(k) / (1.0 + k * k * mu * mu), quad) / math.pi
+    with np.errstate(over="ignore"):
+        values = integrate_halfline(lambda k: density(k) / (1.0 + k * k * mu * mu), quad)
+    values = _finite(values / math.pi)
     # a scalar mu gives its row's np.float64, a float whose complex division is numpy's
     return DistributionSlice(mu_nodes, values[0] if mu_nodes.ndim == 0 else
                              values.reshape(mu_nodes.shape))
@@ -200,10 +215,12 @@ def phi_n(
                h_{n-1}(mu) = (1/pi) int E_{n-1}(k1)/(1+k1^2 mu^2) dk1 the
                boundary_distribution of E_{n-1}
 
-    A NaN or infinite k or mu raises ValueError at every n.
+    An order n that is not an integer in [0, N] or a NaN or infinite k or
+    mu raises ValueError.
     """
-    if n < 0 or n > series.order or n >= len(densities):
-        raise ValueError(f"order {n} exceeds the built series")
+    built = min(series.order, len(densities) - 1)
+    if not isinstance(n, numbers.Integral) or not 0 <= n <= built:
+        raise ValueError(f"order must be an integer in [0, {built}] (the built order), got {n!r}")
     if not math.isfinite(k):
         raise ValueError(f"k must be finite, got {k}")
     if not math.isfinite(mu):

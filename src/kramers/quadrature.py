@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .series import NumericalFailure
+from .series import NumericalFailure, finite_result
 
 __all__ = [
     "QuadratureSpec",
@@ -157,6 +157,15 @@ def _panel_rule(edges: tuple[float, ...], n: int):
     return np.concatenate(xs), np.concatenate(ws)
 
 
+def _finite(values):
+    """``values``, a float or an array, if all of it is finite; else the
+    ``finite_result`` failure of its first inf or nan."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        finite_result(float(np.asarray(values)[bad][0]))
+    return values
+
+
 def _eval(f, x: np.ndarray) -> np.ndarray:
     """Integrand values at the points ``x``: shape ``x.shape``, or
     ``(rows, x.size)`` for a row-valued integrand."""
@@ -186,7 +195,7 @@ def _refine(f, edges: tuple[float, ...], spec: QuadratureSpec, left=None) -> flo
         x, w = _panel_rule(edges, n)
         vals = _eval(f, x)
         # a row sums exactly as it would alone; with ``left`` the points sum first
-        cur = (vals * w).sum(axis=-1) if left is None else left @ (vals @ w)
+        cur = _finite((vals * w).sum(axis=-1) if left is None else left @ (vals @ w))
         if prev is None:
             # NaN marks a row not yet accepted; _eval has rejected NaN values
             result = np.full(cur.shape, np.nan)

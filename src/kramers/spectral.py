@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import TailDivergence, _gauss_legendre
+from .quadrature import TailDivergence, _finite, _gauss_legendre
 # SeriesExpansion and ProblemConfig stay importable from here
 from .series import NumericalFailure, ProblemConfig, SeriesExpansion
 
@@ -194,7 +194,8 @@ def weighted_sum(densities, weights) -> SpectralDensity:
     the spline coefficients add up as they are, without a new spline solve;
     the tails join, each scaled by its weight.  One density of weight 1 is
     itself bit for bit.  Raises ValueError for no densities, a weight count
-    that does not match, a non-finite weight or densities on different grids.
+    that does not match, a non-finite weight or densities on different grids,
+    and NumericalFailure for a sum that overflows.
     """
     densities, weights = list(densities), [float(w) for w in weights]
     if not densities or len(weights) != len(densities) or not all(map(math.isfinite, weights)):
@@ -204,9 +205,12 @@ def weighted_sum(densities, weights) -> SpectralDensity:
         raise ValueError("the densities must share one grid")
     total = object.__new__(SpectralDensity)
     total.grid, total._knots = first.grid, first._knots
-    total.values = sum(w * d.values for w, d in zip(weights, densities))
+    # an overflowing term is inf, and two of opposite signs add up to nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        total.values = _finite(sum(w * d.values for w, d in zip(weights, densities)))
+        total._coef = _finite(sum(w * d._coef for w, d in zip(weights, densities)))
+    # finite: the same sum, in the same order, is _coef[3, 0]
     total.value_at_zero = sum(w * d.value_at_zero for w, d in zip(weights, densities))
-    total._coef = sum(w * d._coef for w, d in zip(weights, densities))
     total.tails = tuple((w * c, p) for w, d in zip(weights, densities)
                         for c, p in d.tails if w * c != 0.0)
     return total

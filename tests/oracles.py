@@ -91,7 +91,8 @@ def ado_kramers(q: float):
 
     Returns ``(A, u_c)``: the slip for a unit gradient and the Knudsen-layer
     correction u_c(x) = sum_j a_j omega^T U_j e^{-x/nu_j}, so that
-    U(x) = A + x + u_c(x).
+    U(x) = A + x + u_c(x).  ``u_c.defect`` is the Knudsen-layer defect
+    int_0^oo u_c dx = sum_j a_j omega^T U_j nu_j, exact for these modes.
     """
     xi, w = np.polynomial.legendre.leggauss(ADO_NODES)
     edges = np.linspace(0.0, ADO_MU_MAX, ADO_PANELS + 1)
@@ -110,4 +111,5 @@ def ado_kramers(q: float):
     def u_c(x):
         return np.exp(-np.asarray(x, dtype=float)[..., None] / nu) @ amplitude
 
+    u_c.defect = float(amplitude @ nu)
     return float(solution[0]), u_c

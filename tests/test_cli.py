@@ -147,10 +147,12 @@ class TestArgumentErrors:
 
         # the CLI imports these where it needs them, so it reads the patched
         # names; validation goes first, so that its import (and profile's)
-        # binds forward's own builds, not no_build
+        # binds forward's own builds, not no_build.  wall and profile build
+        # through profile, which bound forward's build when it was imported
         monkeypatch.setattr("kramers.validation.run_reference_checks", no_build)
         monkeypatch.setattr("kramers.forward.build_series_fwd", no_build)
         monkeypatch.setattr("kramers.forward.build_series_inv", no_build)
+        monkeypatch.setattr("kramers.profile.build_series_fwd", no_build)
         code, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1

@@ -18,7 +18,8 @@ from kramers.profile import (
     wall_velocity,
 )
 from kramers.quadrature import integrate_halfline
-from kramers.spectral import ProblemConfig, SpectralDensity
+from kramers.series import NumericalFailure
+from kramers.spectral import ProblemConfig, SpectralDensity, weighted_sum
 
 
 @pytest.fixture(scope="module")
@@ -230,6 +231,82 @@ class TestDiscreteOrdinates:
         got = wall_velocity(ProblemConfig(q=q, order=12), *forward12)
         assert got == pytest.approx(slip + u_c(0.0), rel=0.0, abs=2e-4)
 
+    @pytest.mark.parametrize("q", [1.0, 0.5, 0.1])
+    def test_knudsen_layer_defect(self, forward12, q):
+        """int_0^oo U_c dx = g_v (2-q)/2 sum_n q^n E_n(0), as the x-integral
+        of cos(kx) is (pi/2) delta(k).  The repo reads 1.0e-9, 8.3e-10 and
+        2.3e-10 below ADO's sum_j a_j nu_j; the 3e-9 bound is set from that."""
+        densities = forward12[1]
+        defect = (2.0 - q) / 2.0 * sum(q**n * e.value_at_zero for n, e in enumerate(densities))
+        assert defect == pytest.approx(ado_kramers(q)[1].defect, rel=0.0, abs=3e-9)
+
+
+def _lorentzian(grid):
+    """1/(1 + k^2) on ``grid``: finite spline coefficients of order one and
+    an integral of pi/2 times its scale."""
+    return SpectralDensity(grid, 1.0 / (1.0 + grid.nodes**2), value_at_zero=1.0)
+
+
+def _zero(grid):
+    """The zero density on ``grid``, whose cosine transform is exactly 0."""
+    return SpectralDensity(grid, np.zeros(grid.nodes.size), value_at_zero=0.0)
+
+
+# a readout whose finite inputs overflow, on the order-3 build, and the
+# value finite_result names in its message
+OVERFLOWS = {
+    "wall_exact_slip": (lambda b: wall_velocity(ProblemConfig(1.0, 1.79e308, 0)), "inf"),
+    "wall_series_slip": (lambda b: wall_velocity(ProblemConfig(0.5, 1.7e308, 3), *b), "inf"),
+    "velocity_correction": (lambda b: velocity_correction(b[1], 0.5, 1.7e308, 0.5), "-inf"),
+    "velocity_correction_array": (
+        lambda b: velocity_correction(b[1], 0.5, 1.7e308, np.array([0.0, 1.0])), "-inf"),
+    "velocity_correction_zero_density": (
+        lambda b: velocity_correction([_zero(b[1][0].grid)], 0.5, 1.7e308, np.array([0.0, 1.0])),
+        "nan"),
+    "full_profile": (lambda b: full_profile(ProblemConfig(1.0, 1.7e308, 3), [0.0, 1.0], *b),
+                     "inf"),
+    "full_profile_far": (lambda b: full_profile(ProblemConfig(1.0, 1e308, 0), [0.0, 1e10]), "inf"),
+    "weighted_sum": (lambda b: weighted_sum([b[1][0]] * 4, [1.7e308] * 4), "-inf"),
+    "weighted_sum_opposite_signs": (
+        lambda b: weighted_sum([b[1][0]] * 2, [1.7e308, -1.7e308]), "nan"),
+    "combined_density": (lambda b: combined_density(b[1], 0.5, 1.7e308), "inf"),
+    "combined_density_coefficients": (lambda b: combined_density(b[1], 1.0, 8.9e307), "-inf"),
+    "boundary_distribution": (
+        lambda b: boundary_distribution(weighted_sum([_lorentzian(b[1][0].grid)], [1.7e308]),
+                                        [0.0, 1.0]), "inf"),
+}
+
+# the same readouts with an argument that is out of range or not finite,
+# next to a drive that would overflow
+ARGUMENT_ERRORS = {
+    "wall_velocity": lambda b: wall_velocity(ProblemConfig(1.0, 1.79e308, 1), *b),
+    "velocity_correction": lambda b: velocity_correction(b[1], 0.5, math.inf, 0.5),
+    "full_profile": lambda b: full_profile(ProblemConfig(1.0, 1.7e308, 3), [0.0, -1.0], *b),
+    "weighted_sum": lambda b: weighted_sum([b[1][0]] * 2, [1.7e308, math.inf]),
+    "combined_density": lambda b: combined_density(b[1], 1.5, 1.7e308),
+    "boundary_distribution": lambda b: boundary_distribution(
+        weighted_sum([_lorentzian(b[1][0].grid)], [1.7e308]), [0.0, math.nan]),
+}
+
+
+class TestOverflow:
+    """Every readout returns a finite value or raises NumericalFailure with
+    finite_result's message, and no RuntimeWarning, which the test settings
+    make an error.  All but wall_series_slip used to return inf, -inf or
+    nan, warn, hold non-finite samples or (combined_density) raise ValueError."""
+
+    @pytest.mark.parametrize("case", OVERFLOWS)
+    def test_overflow_is_a_numerical_failure(self, forward3, case):
+        call, value = OVERFLOWS[case]
+        with pytest.raises(NumericalFailure) as failure:
+            call(forward3)
+        assert str(failure.value) == f"a result is {value}: the inputs overflow double precision"
+
+    @pytest.mark.parametrize("case", ARGUMENT_ERRORS)
+    def test_argument_error_is_a_value_error(self, forward3, case):
+        with pytest.raises(ValueError):
+            ARGUMENT_ERRORS[case](forward3)
+
 
 class TestPrebuiltSeries:
     """A prebuilt series must be the forward series of the config's order:
@@ -290,6 +367,16 @@ class TestArguments:
         nan+nanj with RuntimeWarnings at n >= 1, and an infinite k nan+nanj."""
         with pytest.raises(ValueError, match="finite"):
             phi_n(n, k, mu, *forward3)
+
+    @pytest.mark.parametrize("n", [-1, 4, 0.5, 1.0, "1"])
+    def test_phi_n_order_checked(self, forward3, n):
+        """An order that is not an integer in [0, 3] is a ValueError; 0.5,
+        1.0 and "1" used to raise a bare TypeError from indexing."""
+        with pytest.raises(ValueError, match="integer"):
+            phi_n(n, 0.5, 0.3, *forward3)
+
+    def test_phi_n_numpy_integer_order(self, forward3):
+        assert phi_n(np.int64(1), 0.5, 0.3, *forward3) == phi_n(1, 0.5, 0.3, *forward3)
 
     def test_scalar_mu(self, forward3):
         """A scalar mu gives a float, bit for bit the one-element array's
