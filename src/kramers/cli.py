@@ -17,13 +17,20 @@ Every argument is checked before numpy loads.  numpy and the modules that
 build iterates load only for a command that needs an iterate: ``coeffs`` and
 ``inverse`` at order 0 print the exact c_0 of ``kramers.series`` without one.
 ``json`` loads only to write JSON output.
+
+Each option is declared once, in ``_OPTIONS``.  An argv of the plain form
+``command (--flag value | --json)*`` is read by a short scan over that
+table; argparse, the one source of usage, help and error text, loads only
+for help, ``--version``, an argument error or another form of the same
+options (an abbreviated flag, ``--flag=value``, ``--`` or a value that
+starts with ``-``).
 """
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from . import __version__
 from .series import (EXACT_C0, DiffuseLimitSingular, NumericalFailure, ProblemConfig,
@@ -36,50 +43,94 @@ __all__ = ["main"]
 MAX_X_POINTS = 100_001
 
 
-def _add_output(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--format", choices=("table", "csv", "json"), default=None,
-        help="output format (default: table on a terminal, csv otherwise)",
-    )
-    p.add_argument("--json", action="store_true", help="shorthand for --format json")
-    p.add_argument("--out", default=None, help="write output to this file instead of stdout")
+# each command and its help, in the order --help lists them
+_COMMANDS = {
+    "coeffs": "slip-coefficient expansion",
+    "inverse": "gradient expansion from an imposed slip",
+    "wall": "wall velocity",
+    "profile": "velocity profile",
+    # the reference checks run at fixed settings, so validate takes no solve options
+    "validate": "run the reference checks",
+}
+_ALL = tuple(_COMMANDS)
+_SOLVE = ("coeffs", "inverse", "wall", "profile")
+_DRIVEN = ("coeffs", "wall", "profile")
+_REQUIRED = object()  # the default of an option that must be given
+
+# each option once: flag -> (kind, default, help, commands).  kind is the
+# type of the value, a tuple of its choices, or bool for a switch; a
+# command's --help lists its options in this order
+_OPTIONS = {
+    "--q": (float, 1.0, "accommodation coefficient in [0, 1]", _SOLVE),
+    "--order": (int, 3, "series truncation order N", _SOLVE),
+    "--format": (("table", "csv", "json"), None,
+                 "output format (default: table on a terminal, csv otherwise)", _ALL),
+    "--json": (bool, False, "shorthand for --format json", _ALL),
+    "--out": (str, None, "write output to this file instead of stdout", _ALL),
+    "--gradient": (float, 1.0, "velocity gradient (default 1)", _DRIVEN),
+    "--slip": (float, _REQUIRED, "imposed slip velocity", ("inverse",)),
+    "--xmax": (float, 10.0, "largest x value", ("profile",)),
+    "--xstep": (float, 0.5, "x-grid spacing", ("profile",)),
+}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--q", type=float, default=1.0, help="accommodation coefficient in [0, 1]")
-    p.add_argument("--order", type=int, default=3, help="series truncation order N")
-    _add_output(p)
+def _build_parser():
+    import argparse
 
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kramers", description="Slip-flow solver for the half-space shear problem"
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("coeffs", help="slip-coefficient expansion")
-    _add_common(p)
-    p.add_argument("--gradient", type=float, default=1.0, help="velocity gradient (default 1)")
-
-    p = sub.add_parser("inverse", help="gradient expansion from an imposed slip")
-    _add_common(p)
-    p.add_argument("--slip", type=float, required=True, help="imposed slip velocity")
-
-    p = sub.add_parser("wall", help="wall velocity")
-    _add_common(p)
-    p.add_argument("--gradient", type=float, default=1.0, help="velocity gradient (default 1)")
-
-    p = sub.add_parser("profile", help="velocity profile")
-    _add_common(p)
-    p.add_argument("--gradient", type=float, default=1.0, help="velocity gradient (default 1)")
-    p.add_argument("--xmax", type=float, default=10.0, help="largest x value")
-    p.add_argument("--xstep", type=float, default=0.5, help="x-grid spacing")
-
-    # the reference checks run at fixed settings, so validate takes no solve options
-    p = sub.add_parser("validate", help="run the reference checks")
-    _add_output(p)
+    for command, command_help in _COMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        for flag, (kind, default, text, commands) in _OPTIONS.items():
+            if command not in commands:
+                continue
+            if kind is bool:
+                p.add_argument(flag, action="store_true", help=text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, choices=kind, default=default, help=text)
+            elif default is _REQUIRED:
+                p.add_argument(flag, type=kind, required=True, help=text)
+            else:
+                p.add_argument(flag, type=kind, default=default, help=text)
     return parser
+
+
+def _scan(argv) -> dict | None:
+    """The arguments of the plain form ``command (--flag value | --json)*``
+    as ``vars(_build_parser().parse_args(argv))`` gives them, or None for
+    any other argv: help, --version, an abbreviated flag, ``--flag=value``,
+    ``--``, a value that starts with ``-``, or anything argparse rejects."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    command = argv[0]
+    options = {flag: entry for flag, entry in _OPTIONS.items() if command in entry[3]}
+    args = {"command": command, **{flag[2:]: entry[1] for flag, entry in options.items()}}
+    rest = iter(argv[1:])
+    for flag in rest:
+        if flag not in options:
+            return None
+        kind = options[flag][0]
+        if kind is bool:
+            args[flag[2:]] = True
+            continue
+        value = next(rest, None)
+        if value is None or value.startswith("-"):
+            return None
+        if isinstance(kind, tuple):
+            if value not in kind:
+                return None
+        else:
+            try:
+                value = kind(value)
+            except ValueError:
+                return None
+        args[flag[2:]] = value
+    if _REQUIRED in args.values():
+        return None
+    return args
 
 
 def _resolve_format(args) -> str:
@@ -217,10 +268,12 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _scan(argv)
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
     try:
-        return _run(args)
+        return _run(SimpleNamespace(**args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

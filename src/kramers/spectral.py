@@ -129,7 +129,8 @@ class SpectralDensity:
 
     Past k_max the density is the sum of the power laws ``c (k/k_max)^p`` in
     ``tails``: none where the last decade of samples is negligible or
-    changes sign, else the one fitted there.
+    changes sign, else the one fitted there.  Samples so near the double
+    limit that the spline's slopes overflow raise NumericalFailure.
     """
 
     def __init__(self, grid: SpectralGrid, values, value_at_zero: float):
@@ -142,16 +143,19 @@ class SpectralDensity:
         self.values = values
         self.value_at_zero = float(value_at_zero)
         self._knots = np.concatenate(([0.0], grid.nodes))
-        self._coef = _spline_coefficients(
-            self._knots, np.concatenate(([self.value_at_zero], values))
-        )
+        # samples near the double limit can overflow the spline's slopes
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._coef = _finite(_spline_coefficients(
+                self._knots, np.concatenate(([self.value_at_zero], values))
+            ))
         self.tails = self._fit_tail()
 
     def _fit_tail(self) -> tuple[tuple[float, float], ...]:
         k = self.grid.nodes
         mask = k >= self.grid.k_max / 10.0
         kk, vv = k[mask], self.values[mask]
-        if np.max(np.abs(vv)) < 1e-14 or np.any(vv * vv[-1] <= 0):
+        # signs, not products: a product of samples can overflow or underflow
+        if np.max(np.abs(vv)) < 1e-14 or np.any(np.sign(vv) * np.sign(vv[-1]) <= 0):
             return ()
         slope, _ = np.polyfit(np.log(kk), np.log(np.abs(vv) + 1e-300), 1)
         # anchor the power law at the last sample so the tail is continuous

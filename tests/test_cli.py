@@ -14,11 +14,42 @@ import pytest
 
 import kramers
 from kramers import build_series_fwd, build_series_inv
-from kramers.cli import main
+from kramers.cli import _build_parser, _scan, main
 
 
 # an --out path in a directory that does not exist
 MISSING_DIR = os.path.join("{dir}", "missing", "x.csv")
+
+# x-grids of profile --order 0 that are infinite or have too many points
+BAD_GRIDS = [("--xmax", "inf"), ("--xmax", "nan"), ("--xstep", "inf"),
+             ("--xmax", "1e300", "--xstep", "1e-300"), ("--xmax", "1e15", "--xstep", "1")]
+# options of another command, or of none, each followed by --order 0
+FOREIGN_OPTIONS = [("coeffs", "--slip", "1"), ("inverse", "--gradient", "1", "--slip", "1"),
+                   ("coeffs", "--nodes", "32"), ("wall", "--tol", "1e-7"),
+                   ("profile", "--nodes", "8"), ("inverse", "--slip", "1", "--tol", "1e-9")]
+OUT_OF_RANGE = [("inverse", "--slip", "inf"), ("coeffs", "--gradient", "nan"),
+                ("inverse", "--slip", "1", "--order", "13"),
+                ("inverse", "--slip", "1", "--q", "-0.5")]
+# "{dir}" stands for a temporary directory
+BAD_BEFORE_THE_BUILD = [("inverse", "--slip", "inf", "--order", "12"),
+                        ("inverse", "--slip", "nan"),
+                        ("coeffs", "--gradient=-inf"),
+                        ("profile", "--xmax", "inf"),
+                        ("profile", "--xmax", "1e15", "--xstep", "1"),
+                        ("wall", "--order", "0", "--out", MISSING_DIR),
+                        ("profile", "--order", "0", "--out", MISSING_DIR),
+                        ("validate", "--out", MISSING_DIR),
+                        ("wall", "--order", "0", "--out", "{dir}")]
+# finite arguments whose result overflows
+OVERFLOWING = [("coeffs", "--q", "5e-324", "--order", "0"),
+               ("coeffs", "--gradient", "1e308", "--q", "1e-10", "--order", "0"),
+               ("inverse", "--slip", "1.7e308", "--order", "0"),
+               ("wall", "--q", "1e-320", "--order", "0"),
+               ("profile", "--q", "1e-320", "--order", "0", "--xmax", "1"),
+               ("profile", "--gradient", "1.7e308", "--order", "0", "--xmax", "1",
+                "--format", "json")]
+# solve options, each an error after validate
+SOLVE_OPTIONS = ["--q", "--order", "--nodes", "--tol"]
 
 
 def run(capsys, *argv):
@@ -78,9 +109,7 @@ class TestProfile:
         code, _, _ = run(capsys, "profile", "--order", "0", "--xstep", "-1")
         assert code == 2
 
-    @pytest.mark.parametrize("grid", [("--xmax", "inf"), ("--xmax", "nan"), ("--xstep", "inf"),
-                                      ("--xmax", "1e300", "--xstep", "1e-300"),
-                                      ("--xmax", "1e15", "--xstep", "1")])
+    @pytest.mark.parametrize("grid", BAD_GRIDS)
     def test_non_finite_x_grid_rejected(self, capsys, grid):
         """An infinite x-range, or more x-points than MAX_X_POINTS, is an
         argument error (exit 2), not an uncaught OverflowError or
@@ -107,12 +136,7 @@ class TestArgumentErrors:
         code, _, _ = run(capsys, "coeffs", "--order", "0", "--q", "2.0")
         assert code == 2
 
-    @pytest.mark.parametrize("argv", [("coeffs", "--slip", "1"),
-                                      ("inverse", "--gradient", "1", "--slip", "1"),
-                                      ("coeffs", "--nodes", "32"),
-                                      ("wall", "--tol", "1e-7"),
-                                      ("profile", "--nodes", "8"),
-                                      ("inverse", "--slip", "1", "--tol", "1e-9")])
+    @pytest.mark.parametrize("argv", FOREIGN_OPTIONS)
     def test_drive_belongs_to_its_command(self, capsys, argv):
         """coeffs, wall and profile take --gradient only, inverse --slip only;
         no command takes --nodes or --tol, the resolution is the build's."""
@@ -121,24 +145,13 @@ class TestArgumentErrors:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("argv", [("inverse", "--slip", "inf"),
-                                      ("coeffs", "--gradient", "nan"),
-                                      ("inverse", "--slip", "1", "--order", "13"),
-                                      ("inverse", "--slip", "1", "--q", "-0.5")])
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE)
     def test_non_finite_or_out_of_range(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error:")
 
-    @pytest.mark.parametrize("argv", [("inverse", "--slip", "inf", "--order", "12"),
-                                      ("inverse", "--slip", "nan"),
-                                      ("coeffs", "--gradient=-inf"),
-                                      ("profile", "--xmax", "inf"),
-                                      ("profile", "--xmax", "1e15", "--xstep", "1"),
-                                      ("wall", "--order", "0", "--out", MISSING_DIR),
-                                      ("profile", "--order", "0", "--out", MISSING_DIR),
-                                      ("validate", "--out", MISSING_DIR),
-                                      ("wall", "--order", "0", "--out", "{dir}")])
+    @pytest.mark.parametrize("argv", BAD_BEFORE_THE_BUILD)
     def test_checked_before_the_build(self, capsys, monkeypatch, tmp_path, argv):
         """A bad drive, x-grid or --out path is rejected before any series is
         built."""
@@ -157,14 +170,7 @@ class TestArgumentErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("argv", [("coeffs", "--q", "5e-324", "--order", "0"),
-                                      ("coeffs", "--gradient", "1e308", "--q", "1e-10",
-                                       "--order", "0"),
-                                      ("inverse", "--slip", "1.7e308", "--order", "0"),
-                                      ("wall", "--q", "1e-320", "--order", "0"),
-                                      ("profile", "--q", "1e-320", "--order", "0", "--xmax", "1"),
-                                      ("profile", "--gradient", "1.7e308", "--order", "0",
-                                       "--xmax", "1", "--format", "json")])
+    @pytest.mark.parametrize("argv", OVERFLOWING)
     def test_non_finite_result_is_a_failure(self, capsys, argv):
         """Finite arguments whose result overflows print no inf or nan: one
         failure line, exit 1, and no warning."""
@@ -191,7 +197,7 @@ class TestValidate:
         assert "gradient coefficient W_3" in names
         assert "reciprocity V*W order 3" in names
 
-    @pytest.mark.parametrize("option", ["--q", "--order", "--nodes", "--tol"])
+    @pytest.mark.parametrize("option", SOLVE_OPTIONS)
     def test_solve_options_rejected(self, capsys, option):
         """validate runs at fixed settings, so a solve option is an error,
         not an ignored argument."""
@@ -216,10 +222,13 @@ def cold_python(code: str, *argv: str) -> str:
     return proc.stdout
 
 
-# runs that need no iterate: argument errors, the q = 0 failure, order 0 of coeffs and inverse
-NUMPY_FREE = [(("--help",), 0),
-              (("--version",), 0),
-              (("coeffs", "--q", "2"), 2),
+# the benchmark's cold runs, all of which the scan takes
+CLI_COLD = [("coeffs", "--order", "0", "--json"), ("wall", "--q", "1", "--order", "0"),
+            ("profile", "--xmax", "5", "--order", "0"), ("inverse", "--slip", "1", "--order", "0"),
+            ("profile", "--q", "0", "--order", "0"), ("coeffs", "--q", "2", "--order", "0")]
+# runs that need no iterate and that the scan takes: checks of the parsed
+# arguments, the q = 0 failure, order 0 of coeffs and inverse
+NUMPY_FREE = [(("coeffs", "--q", "2"), 2),
               (("coeffs", "--order", "13"), 2),
               (("inverse", "--slip", "nan"), 2),
               (("profile", "--xmax", "inf"), 2),
@@ -228,8 +237,66 @@ NUMPY_FREE = [(("--help",), 0),
               (("wall", "--q", "0"), 1),
               (("coeffs", "--order", "0", "--json"), 0),
               (("inverse", "--slip", "1", "--order", "0"), 0)]
-# the modules none of them loads; json loads only for JSON output
-COLD_UNLOADED = ("numpy", "dataclasses", "inspect", "json")
+# runs that need no iterate and that argparse parses: help, the version,
+# parse errors and an abbreviated flag
+TO_ARGPARSE = [(("--help",), 0),
+               (("--version",), 0),
+               (("inverse", "--help"), 0),
+               (("inverse", "--order", "0"), 2),
+               (("coeffs", "--format", "xml"), 2),
+               (("coeffs", "--ord", "0"), 0)]
+# the modules none of them loads; json loads only for JSON output and
+# argparse only for the runs of TO_ARGPARSE
+COLD_UNLOADED = ("numpy", "dataclasses", "inspect", "json", "argparse")
+
+# argvs whose parse the scan either declines or gets as argparse does: those
+# above, every other argv of this file, and the forms that argparse reads
+# its own way (=, abbreviated, negative values, --, repeats, -h)
+PARSE_CORPUS = list(dict.fromkeys([
+    *CLI_COLD, *(argv for argv, _ in NUMPY_FREE + TO_ARGPARSE),
+    *((*argv, "--order", "0") for argv in FOREIGN_OPTIONS),
+    *(("profile", "--order", "0", *grid) for grid in BAD_GRIDS),
+    *OUT_OF_RANGE, *BAD_BEFORE_THE_BUILD, *OVERFLOWING,
+    *(("validate", option, "1") for option in SOLVE_OPTIONS),
+    ("coeffs", "--order", "1", "--json"), ("coeffs", "--order", "0", "--format", "csv"),
+    ("inverse", "--order", "1", "--slip", "1", "--json"),
+    ("profile", "--order", "0", "--xmax", "2", "--xstep", "1", "--format", "csv"),
+    ("profile", "--order", "0", "--q", "0"), ("profile", "--order", "0", "--xstep", "-1"),
+    ("profile", "--order", "0", "--xmax", "1", "--xstep", "1", "--format", "csv",
+     "--out", "prof.csv"),
+    ("bogus",), ("coeffs", "--order", "0", "--q", "2.0"), ("wall", "--order", "0"),
+    ("wall", "--order", "0", "--out", "x" * 300), ("validate", "--json"),
+    ("coeffs", "--q=0.5"), ("coeffs", "--q", "-0.5"), ("coeffs", "--slip", "-inf"),
+    ("inverse", "--slip", "-inf"),
+    ("coeffs", "--order", "1", "--order", "0", "--q", "0.5", "--q", "0.7"),
+    ("coeffs", "--json", "--json", "--format", "csv", "--format", "table"),
+    ("coeffs", "--out", ""), ("coeffs", "--json", "x"), ("coeffs", "--", "--json"),
+    ("inverse", "--order", "0", "--format", "csv"), ("coeffs", "--order", "1.5"),
+    ("coeffs", "-h"), ("coeffs", "--order"), (),
+    ("coeffs", "--q", " 0.5", "--order", " 1 "), ("coeffs", "--q", "nan", "--gradient", "-0.0"),
+]))
+
+
+def typed(args: dict) -> dict:
+    """Each value as its type and repr, so that nan matches nan and -0.0 does not match 0.0."""
+    return {name: (type(value), repr(value)) for name, value in args.items()}
+
+
+class TestScan:
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=" ".join)
+    def test_declines_or_parses_as_argparse(self, argv):
+        """The scan takes an argv only where argparse parses it, and then to
+        the same arguments; an argv it takes that argparse rejects exits here."""
+        args = _scan(list(argv))
+        if args is not None:
+            assert typed(args) == typed(vars(_build_parser().parse_args(list(argv))))
+
+    def test_takes_the_plain_runs(self):
+        """The benchmark's cold runs and NUMPY_FREE go by the scan, the runs
+        of TO_ARGPARSE to argparse."""
+        assert all(_scan(list(argv)) is not None
+                   for argv in CLI_COLD + [argv for argv, _ in NUMPY_FREE])
+        assert all(_scan(list(argv)) is None for argv, _ in TO_ARGPARSE)
 
 
 class TestImport:
@@ -244,11 +311,11 @@ class TestImport:
         assert out.splitlines()[-2:] == ["[]", "True"]
 
     def test_numpy_free_runs(self):
-        """Each run in NUMPY_FREE exits with its code and leaves numpy,
-        dataclasses and inspect unloaded, and json too unless it writes JSON.
-        One interpreter makes the runs, those without --json first; it imports
-        none of these modules itself."""
-        runs = sorted(NUMPY_FREE, key=lambda run: "--json" in run[0])
+        """Each run of NUMPY_FREE and TO_ARGPARSE exits with its code and
+        leaves numpy, dataclasses and inspect unloaded, json too until a run
+        writes JSON, and argparse until a run of TO_ARGPARSE.  One interpreter
+        makes the runs, in that order; it imports none of these modules itself."""
+        runs = sorted(NUMPY_FREE, key=lambda run: "--json" in run[0]) + TO_ARGPARSE
         out = cold_python(
             "import contextlib, io, sys\n"
             f"watched = {COLD_UNLOADED!r}\n"
@@ -266,9 +333,12 @@ class TestImport:
         )
         lines = [line.split() for line in out.splitlines()]
         assert lines[0] == ["False"] * len(COLD_UNLOADED)
-        assert lines[1:] == [
-            [str(code), *(str(m == "json" and "--json" in argv) for m in COLD_UNLOADED)]
-            for argv, code in runs]
+        expected, loaded = [], set()
+        for i, (argv, code) in enumerate(runs):
+            loaded |= {"json"} if "--json" in argv else set()
+            loaded |= {"argparse"} if i >= len(NUMPY_FREE) else set()
+            expected.append([str(code), *(str(m in loaded) for m in COLD_UNLOADED)])
+        assert lines[1:] == expected
 
     def test_exports(self):
         """Each name of __all__ is its module's own object and is listed by

@@ -241,10 +241,10 @@ class TestDiscreteOrdinates:
         assert defect == pytest.approx(ado_kramers(q)[1].defect, rel=0.0, abs=3e-9)
 
 
-def _lorentzian(grid):
-    """1/(1 + k^2) on ``grid``: finite spline coefficients of order one and
-    an integral of pi/2 times its scale."""
-    return SpectralDensity(grid, 1.0 / (1.0 + grid.nodes**2), value_at_zero=1.0)
+def _lorentzian(grid, scale=1.0):
+    """scale/(1 + k^2) on ``grid``: at scale 1 finite spline coefficients of
+    order one and an integral of pi/2 times its scale."""
+    return SpectralDensity(grid, scale / (1.0 + grid.nodes**2), value_at_zero=scale)
 
 
 def _zero(grid):
@@ -274,6 +274,7 @@ OVERFLOWS = {
     "boundary_distribution": (
         lambda b: boundary_distribution(weighted_sum([_lorentzian(b[1][0].grid)], [1.7e308]),
                                         [0.0, 1.0]), "inf"),
+    "density_samples": (lambda b: _lorentzian(b[1][0].grid, 1.7e308), "nan"),
 }
 
 # the same readouts with an argument that is out of range or not finite,
@@ -293,7 +294,8 @@ class TestOverflow:
     """Every readout returns a finite value or raises NumericalFailure with
     finite_result's message, and no RuntimeWarning, which the test settings
     make an error.  All but wall_series_slip used to return inf, -inf or
-    nan, warn, hold non-finite samples or (combined_density) raise ValueError."""
+    nan, warn, hold non-finite samples or spline coefficients, or
+    (combined_density) raise ValueError."""
 
     @pytest.mark.parametrize("case", OVERFLOWS)
     def test_overflow_is_a_numerical_failure(self, forward3, case):
@@ -306,6 +308,15 @@ class TestOverflow:
     def test_argument_error_is_a_value_error(self, forward3, case):
         with pytest.raises(ValueError):
             ARGUMENT_ERRORS[case](forward3)
+
+    def test_large_samples_fit_their_tail(self, forward3):
+        """Samples of 1e307 overflowed the tail fit's sign test, a product
+        of two samples, with a RuntimeWarning; the fitted tail is the unit
+        density's, scaled."""
+        grid = forward3[1][0].grid
+        big, unit = _lorentzian(grid, 1e307), _lorentzian(grid)
+        (c, p), = big.tails
+        assert c == big.values[-1] and p == pytest.approx(unit.tails[0][1], rel=1e-12)
 
 
 class TestPrebuiltSeries:
