@@ -98,9 +98,9 @@ def _build_parser():
     return parser
 
 
-def _scan(argv) -> dict | None:
+def _scan(argv) -> SimpleNamespace | None:
     """The arguments of the plain form ``command (--flag value | --json)*``
-    as ``vars(_build_parser().parse_args(argv))`` gives them, or None for
+    as ``_build_parser().parse_args(argv)`` gives them, or None for
     any other argv: help, --version, an abbreviated flag, ``--flag=value``,
     ``--``, a value that starts with ``-``, or anything argparse rejects."""
     if not argv or argv[0] not in _COMMANDS:
@@ -130,7 +130,7 @@ def _scan(argv) -> dict | None:
         args[flag[2:]] = value
     if _REQUIRED in args.values():
         return None
-    return args
+    return SimpleNamespace(**args)
 
 
 def _resolve_format(args) -> str:
@@ -269,11 +269,9 @@ def _run(args) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _scan(argv)
-    if args is None:
-        args = vars(_build_parser().parse_args(argv))
+    args = _scan(argv) or _build_parser().parse_args(argv)
     try:
-        return _run(SimpleNamespace(**args))
+        return _run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -289,7 +289,7 @@ class TestScan:
         the same arguments; an argv it takes that argparse rejects exits here."""
         args = _scan(list(argv))
         if args is not None:
-            assert typed(args) == typed(vars(_build_parser().parse_args(list(argv))))
+            assert typed(vars(args)) == typed(vars(_build_parser().parse_args(list(argv))))
 
     def test_takes_the_plain_runs(self):
         """The benchmark's cold runs and NUMPY_FREE go by the scan, the runs
@@ -310,12 +310,11 @@ class TestImport:
         )
         assert out.splitlines()[-2:] == ["[]", "True"]
 
-    def test_numpy_free_runs(self):
-        """Each run of NUMPY_FREE and TO_ARGPARSE exits with its code and
-        leaves numpy, dataclasses and inspect unloaded, json too until a run
-        writes JSON, and argparse until a run of TO_ARGPARSE.  One interpreter
-        makes the runs, in that order; it imports none of these modules itself."""
-        runs = sorted(NUMPY_FREE, key=lambda run: "--json" in run[0]) + TO_ARGPARSE
+    @staticmethod
+    def cold_runs(runs) -> list:
+        """For a fresh interpreter that imports none of COLD_UNLOADED itself:
+        whether each module is loaded before the runs, then after each run
+        its exit code and whether each module is loaded."""
         out = cold_python(
             "import contextlib, io, sys\n"
             f"watched = {COLD_UNLOADED!r}\n"
@@ -333,12 +332,25 @@ class TestImport:
         )
         lines = [line.split() for line in out.splitlines()]
         assert lines[0] == ["False"] * len(COLD_UNLOADED)
-        expected, loaded = [], set()
-        for i, (argv, code) in enumerate(runs):
-            loaded |= {"json"} if "--json" in argv else set()
-            loaded |= {"argparse"} if i >= len(NUMPY_FREE) else set()
-            expected.append([str(code), *(str(m in loaded) for m in COLD_UNLOADED)])
-        assert lines[1:] == expected
+        return lines[1:]
+
+    def test_numpy_free_runs(self):
+        """Each run of NUMPY_FREE exits with its code and leaves numpy,
+        dataclasses, inspect and argparse unloaded, and json too unless it
+        writes JSON.  One interpreter makes the runs, those without --json first."""
+        runs = sorted(NUMPY_FREE, key=lambda run: "--json" in run[0])
+        assert self.cold_runs(runs) == [
+            [str(code), *(str(m == "json" and "--json" in argv) for m in COLD_UNLOADED)]
+            for argv, code in runs]
+
+    def test_argparse_runs(self):
+        """Each run of TO_ARGPARSE exits with its code, loads argparse and
+        leaves numpy, dataclasses, inspect and json unloaded.  A second
+        interpreter makes the runs, so that help and the version are checked
+        for json too."""
+        assert self.cold_runs(TO_ARGPARSE) == [
+            [str(code), *(str(m == "argparse") for m in COLD_UNLOADED)]
+            for _, code in TO_ARGPARSE]
 
     def test_exports(self):
         """Each name of __all__ is its module's own object and is listed by
