@@ -13,10 +13,17 @@ an --out file that cannot be written.  A numerical failure is the library's
 by the readout that computes it.  Identical invocations produce
 byte-identical output.
 
+``run()``, the entry point of the ``kramers`` script and of ``python -m
+kramers.cli``, exits with ``main()``'s status after ``gc.freeze()``, so that
+the interpreter's closing collections skip what the run left alive; atexit
+handlers and the flush of stdout and stderr run as ever.  ``main()`` alone,
+as an in-process caller runs it, leaves the collector as it is.
+
 Every argument is checked before numpy loads.  numpy and the modules that
 build iterates load only for a command that needs an iterate: ``coeffs`` and
 ``inverse`` at order 0 print the exact c_0 of ``kramers.series`` without one.
-``json`` loads only to write JSON output.
+JSON rows are written here; ``json`` loads only for the JSON of ``profile``
+and ``validate``.
 
 Each option is declared once, in ``_OPTIONS``.  An argv of the plain form
 ``command (--flag value | --json)*`` is read by a short scan over that
@@ -25,8 +32,7 @@ for help, ``--version``, an argument error or another form of the same
 options (an abbreviated flag, ``--flag=value``, ``--`` or a value that
 starts with ``-``).
 """
-from __future__ import annotations
-
+import gc
 import math
 import os
 import sys
@@ -36,7 +42,7 @@ from . import __version__
 from .series import (EXACT_C0, DiffuseLimitSingular, NumericalFailure, ProblemConfig,
                      SeriesExpansion, check_finite, gradient, slip_velocity)
 
-__all__ = ["main"]
+__all__ = ["main", "run"]
 
 # bounds the run time: 100,001 x-points at order 3 take about 4 s on a
 # 2-vCPU Xeon (memory stays flat, the transform works in fixed blocks of x)
@@ -174,29 +180,16 @@ def _emit(text: str, args) -> None:
 
 
 def _rows_text(rows, fmt) -> str:
-    """rows: list of (name, value) pairs."""
+    """rows: list of (name, value) pairs, each name an identifier and each
+    value a finite float; JSON as ``json.dumps(dict(rows), indent=2)``."""
     if fmt == "json":
-        import json
-
-        return json.dumps({name: value for name, value in rows}, indent=2) + "\n"
-    if fmt == "csv":
+        lines = ["{", ",\n".join(f'  "{name}": {float.__repr__(value)}' for name, value in rows),
+                 "}"]
+    elif fmt == "csv":
         lines = ["quantity,value"] + [f"{name},{value:.12g}" for name, value in rows]
     else:
         width = max(len(name) for name, _ in rows)
         lines = [f"{name:<{width}s}  {value: .12g}" for name, value in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _profile_text(prof, fmt) -> str:
-    if fmt == "json":
-        return prof.to_json() + "\n"
-    if fmt == "csv":
-        return prof.to_csv()
-    header = f"{'x':>10s} {'U_total':>16s} {'U_asymptote':>16s} {'U_correction':>16s}"
-    lines = [header] + [
-        f"{x:10.4f} {t:16.9g} {a:16.9g} {c:16.9g}"
-        for x, t, a, c in zip(prof.x_nodes, prof.total, prof.asymptote, prof.correction)
-    ]
     return "\n".join(lines) + "\n"
 
 
@@ -225,13 +218,16 @@ def _rows(args, config: ProblemConfig) -> list[tuple[str, float]]:
     return [("wall_velocity", wall_velocity(config))]
 
 
-def _profile(config: ProblemConfig, xstep: float, count: int):
-    """U(x) at x = 0, xstep, ..., (count - 1) xstep."""
+def _profile_text(config: ProblemConfig, xstep: float, count: int, fmt: str) -> str:
+    """U(x) at x = 0, xstep, ..., (count - 1) xstep, written in ``fmt``."""
     import numpy as np
 
     from .profile import full_profile
 
-    return full_profile(config, np.linspace(0.0, xstep * (count - 1), count))
+    prof = full_profile(config, np.linspace(0.0, xstep * (count - 1), count))
+    if fmt == "json":
+        return prof.to_json() + "\n"
+    return prof.to_csv() if fmt == "csv" else prof.to_table()
 
 
 def _run(args) -> int:
@@ -240,13 +236,10 @@ def _run(args) -> int:
     if args.out:
         _check_out(args.out)
     if args.command == "validate":
-        from .validation import report_json, report_lines, run_reference_checks
+        from .validation import report_text, run_reference_checks
 
         results = run_reference_checks()
-        if fmt == "json":
-            _emit(report_json(results) + "\n", args)
-        else:
-            _emit("\n".join(report_lines(results)) + "\n", args)
+        _emit(report_text(results, fmt), args)
         return 0 if all(r.passed for r in results) else 1
 
     # inverse has no gradient, and its config checks q and order all the same
@@ -260,7 +253,7 @@ def _run(args) -> int:
         raise DiffuseLimitSingular()
 
     if args.command == "profile":
-        text = _profile_text(_profile(config, args.xstep, x_count), fmt)
+        text = _profile_text(config, args.xstep, x_count, fmt)
     else:
         text = _rows_text(_rows(args, config), fmt)
     _emit(text, args)
@@ -280,5 +273,14 @@ def main(argv=None) -> int:
         return 1
 
 
+def run():
+    """Exit with ``main()``'s status, every live object frozen."""
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

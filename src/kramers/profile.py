@@ -64,6 +64,13 @@ class VelocityProfile:
             buf.write(f"{x:.12g},{t:.12g},{a:.12g},{c:.12g}\n")
         return buf.getvalue()
 
+    def to_table(self) -> str:
+        """A fixed-width table, one row per x, with a header line."""
+        header = f"{'x':>10s} {'U_total':>16s} {'U_asymptote':>16s} {'U_correction':>16s}\n"
+        return header + "".join(
+            f"{x:10.4f} {t:16.9g} {a:16.9g} {c:16.9g}\n"
+            for x, t, a, c in zip(self.x_nodes, self.total, self.asymptote, self.correction))
+
     def to_json(self) -> str:
         return json.dumps(
             {

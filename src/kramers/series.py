@@ -15,8 +15,6 @@ and checks its arguments from this module alone, before numpy is loaded;
 both containers are plain classes, not dataclasses, so that a cold run
 loads no ``dataclasses`` (which loads ``inspect``) either.
 """
-from __future__ import annotations
-
 import math
 import numbers
 

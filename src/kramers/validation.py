@@ -15,7 +15,7 @@ from .forward import build_series_fwd, build_series_inv, slip_velocity
 from .kernels import SQRT_PI, KernelSuite
 from .profile import EXACT_SLIP_DIFFUSE, EXACT_WALL_DIFFUSE, velocity_correction
 
-__all__ = ["CheckResult", "run_reference_checks", "report_lines", "report_json"]
+__all__ = ["CheckResult", "run_reference_checks", "report_lines", "report_json", "report_text"]
 
 # reference data: (name, expected, absolute tolerance)
 _FORWARD_COEFFS = (
@@ -150,3 +150,11 @@ def report_json(results: list[CheckResult]) -> str:
         },
         indent=2,
     )
+
+
+def report_text(results: list[CheckResult], fmt: str) -> str:
+    """The report as ``kramers validate`` prints it: ``report_json`` for
+    fmt "json", else ``report_lines``, newline-terminated."""
+    if fmt == "json":
+        return report_json(results) + "\n"
+    return "\n".join(report_lines(results)) + "\n"

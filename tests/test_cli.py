@@ -3,6 +3,7 @@
 Low truncation orders keep these runs cheap; the numbers themselves are
 covered by the acceptance suite.
 """
+import gc
 import importlib
 import json
 import os
@@ -10,11 +11,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import kramers
 from kramers import build_series_fwd, build_series_inv
-from kramers.cli import _build_parser, _scan, main
+from kramers.cli import _build_parser, _rows_text, _scan, main
 
 
 # an --out path in a directory that does not exist
@@ -50,6 +52,14 @@ OVERFLOWING = [("coeffs", "--q", "5e-324", "--order", "0"),
                 "--format", "json")]
 # solve options, each an error after validate
 SOLVE_OPTIONS = ["--q", "--order", "--nodes", "--tol"]
+# finite floats whose repr json keeps in every form: signed zeros, the
+# smallest subnormal and normal, exponent forms and the largest double
+JSON_VALUES = [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300, 0.1, 1 / 3, 1.0, 1e16, 1e22,
+               1.7976931348623157e308, -1.5, np.float64(0.5)]
+# the row names of coeffs, inverse and wall at orders 0-3
+ROW_NAMES = [*([*(f"V_{n}" for n in range(order + 1)), "slip_velocity"] for order in range(4)),
+             *([*(f"W_{n}" for n in range(order + 1)), "gradient"] for order in range(4)),
+             ["wall_velocity"]]
 
 
 def run(capsys, *argv):
@@ -124,6 +134,16 @@ class TestProfile:
                            "--xstep", "1", "--format", "csv", "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().startswith("x,U_total")
+
+
+class TestJsonRows:
+    @pytest.mark.parametrize("names", ROW_NAMES, ids=" ".join)
+    def test_as_json_dumps(self, names):
+        """The JSON rows are json.dumps of their dict, each value at each row."""
+        for shift in range(len(JSON_VALUES)):
+            rows = [(name, JSON_VALUES[(i + shift) % len(JSON_VALUES)])
+                    for i, name in enumerate(names)]
+            assert _rows_text(rows, "json") == json.dumps(dict(rows), indent=2) + "\n"
 
 
 class TestArgumentErrors:
@@ -207,17 +227,17 @@ class TestValidate:
         assert option in capsys.readouterr().err
 
 
-def cold_python(code: str, *argv: str) -> str:
-    """stdout of ``code`` run by a fresh interpreter that imports this kramers."""
+def fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports this kramers, run with ``args``."""
     package_root = str(Path(kramers.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *argv],
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
-        timeout=120,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def cold_python(code: str, *argv: str) -> str:
+    """stdout of ``code`` run by a fresh interpreter that imports this kramers."""
+    proc = fresh_python("-c", code, *argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -245,9 +265,9 @@ TO_ARGPARSE = [(("--help",), 0),
                (("inverse", "--order", "0"), 2),
                (("coeffs", "--format", "xml"), 2),
                (("coeffs", "--ord", "0"), 0)]
-# the modules none of them loads; json loads only for JSON output and
-# argparse only for the runs of TO_ARGPARSE
-COLD_UNLOADED = ("numpy", "dataclasses", "inspect", "json", "argparse")
+# the modules none of them loads; argparse loads only for the runs of
+# TO_ARGPARSE
+COLD_UNLOADED = ("numpy", "dataclasses", "inspect", "json", "argparse", "__future__")
 
 # argvs whose parse the scan either declines or gets as argparse does: those
 # above, every other argv of this file, and the forms that argparse reads
@@ -335,17 +355,14 @@ class TestImport:
         return lines[1:]
 
     def test_numpy_free_runs(self):
-        """Each run of NUMPY_FREE exits with its code and leaves numpy,
-        dataclasses, inspect and argparse unloaded, and json too unless it
-        writes JSON.  One interpreter makes the runs, those without --json first."""
-        runs = sorted(NUMPY_FREE, key=lambda run: "--json" in run[0])
-        assert self.cold_runs(runs) == [
-            [str(code), *(str(m == "json" and "--json" in argv) for m in COLD_UNLOADED)]
-            for argv, code in runs]
+        """Each run of NUMPY_FREE exits with its code and leaves every module
+        of COLD_UNLOADED unloaded, json too where it writes JSON."""
+        assert self.cold_runs(NUMPY_FREE) == [
+            [str(code), *(["False"] * len(COLD_UNLOADED))] for _, code in NUMPY_FREE]
 
     def test_argparse_runs(self):
         """Each run of TO_ARGPARSE exits with its code, loads argparse and
-        leaves numpy, dataclasses, inspect and json unloaded.  A second
+        leaves the other modules of COLD_UNLOADED unloaded.  A second
         interpreter makes the runs, so that help and the version are checked
         for json too."""
         assert self.cold_runs(TO_ARGPARSE) == [
@@ -371,3 +388,46 @@ class TestImport:
         assert json.loads(out)["V_0"] == build_series_fwd(0)[0].coefficients[0]
         _, out, _ = run(capsys, "inverse", "--slip", "1", "--order", "0", "--json")
         assert json.loads(out)["W_0"] == build_series_inv(0)[0].coefficients[0]
+
+
+# process-level runs: argv, exit code
+PROCESS_RUNS = [(("coeffs", "--order", "0"), 0), (("--help",), 0),
+                (("profile", "--q", "0", "--order", "0"), 1), (("coeffs", "--q", "2"), 2)]
+PROCESS_IDS = [" ".join(argv) for argv, _ in PROCESS_RUNS]
+
+
+class TestExit:
+    def test_main_leaves_the_collector(self, capsys):
+        """An in-process main() returns its status and freezes nothing."""
+        assert run(capsys, "coeffs", "--order", "0")[0] == 0
+        assert gc.get_freeze_count() == 0
+
+    @pytest.mark.parametrize("argv, code", PROCESS_RUNS, ids=PROCESS_IDS)
+    def test_run_freezes_and_exits(self, argv, code):
+        """run() exits with main's status, through argparse for --help, with
+        the objects of the run frozen."""
+        out = cold_python(
+            "import gc, sys\n"
+            "from kramers.cli import run\n"
+            "sys.argv = ['kramers', *sys.argv[1:]]\n"
+            "try:\n"
+            "    run()\n"
+            "except SystemExit as exc:\n"
+            "    print('exit', exc.code, gc.get_freeze_count() > 0)\n",
+            *argv,
+        )
+        assert out.splitlines()[-1] == f"exit {code} True"
+
+    @pytest.mark.parametrize("argv, code", PROCESS_RUNS, ids=PROCESS_IDS)
+    def test_module_run(self, argv, code):
+        """python -m kramers.cli exits with main's status, writing to stdout
+        on success and to stderr only on a failure."""
+        proc = fresh_python("-m", "kramers.cli", *argv)
+        assert proc.returncode == code
+        assert bool(proc.stdout) == (code == 0) and bool(proc.stderr) == (code != 0)
+
+    def test_console_script(self):
+        """The installed kramers script calls run(); read as text, since
+        Python 3.10 has no tomllib."""
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert 'kramers = "kramers.cli:run"' in pyproject.read_text().splitlines()
