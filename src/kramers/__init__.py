@@ -17,13 +17,12 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "forward": ("build_series_fwd", "build_series_inv", "default_density_quad"),
-    "kernels": ("KernelSuite", "UnsupportedOrder"),
+    "forward": ("build_series_fwd", "build_series_inv"),
+    "kernels": ("KernelSuite", "QuadratureSpec", "UnsupportedOrder"),
     "profile": ("EXACT_SLIP_DIFFUSE", "EXACT_WALL_DIFFUSE", "DistributionSlice",
                 "VelocityProfile", "boundary_distribution", "combined_density", "full_profile",
                 "phi_n", "velocity_correction", "wall_velocity"),
-    "quadrature": ("NonFiniteIntegrand", "QuadratureSpec", "TailDivergence", "ToleranceNotMet",
-                   "integrate_halfline"),
+    "quadrature": ("NonFiniteIntegrand", "TailDivergence", "ToleranceNotMet", "integrate_halfline"),
     "series": ("DiffuseLimitSingular", "NumericalFailure", "ProblemConfig", "SeriesExpansion",
                "gradient", "slip_velocity"),
     "spectral": ("GridTooCoarse", "SpectralDensity", "SpectralGrid", "cosine_transform",

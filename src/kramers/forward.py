@@ -16,13 +16,13 @@ by ``slip_velocity`` and ``gradient`` (``kramers.series``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .kernels import SQRT_PI, KernelSuite
-from .quadrature import QuadratureSpec, integrate_halfline
+from .quadrature import integrate_halfline
 # DiffuseLimitSingular, check_finite, gradient and slip_velocity stay importable from here
 from .series import (EXACT_C0, DiffuseLimitSingular, SeriesExpansion, check_finite, gradient,
                      slip_velocity)
@@ -41,7 +41,6 @@ __all__ = [
     "slip_velocity",
     "gradient",
     "check_finite",
-    "default_density_quad",
 ]
 
 
@@ -73,23 +72,6 @@ INVERSE = SeriesKind(
 )
 
 
-def default_density_quad(k_max: float) -> QuadratureSpec:
-    """Half-line rule for integrals of densities on a grid that ends at ``k_max``.
-
-    The last panel ends at the grid edge so the power-law tail estimate
-    starts where the sampled data stops.  Tolerances are looser than the
-    kernel rule: spline integrands are only piecewise smooth and stall a
-    node-doubling estimate near 1e-11.  A build integrates at its t-rule's
-    nodes per panel, which are these 64 for the default ``KernelSuite()``.
-    """
-    return QuadratureSpec(
-        node_count=64,
-        rel_tol=1e-8,
-        abs_tol=1e-11,
-        split_points=(1.0, 4.0, 16.0, 64.0, 256.0, k_max),
-    )
-
-
 def first_iterate(kind: SeriesKind, kern: KernelSuite) -> SpectralDensity:
     """Zeroth iterate E_0 = phi0 / T_2, with E_0(0) = kind.e0_at_zero, on the
     geometric grid of 5 n nodes, n = ``kern.spec.node_count``; raises
@@ -103,14 +85,16 @@ def first_iterate(kind: SeriesKind, kern: KernelSuite) -> SpectralDensity:
 
 def coefficient(kind: SeriesKind, kern: KernelSuite, e_prev: SpectralDensity) -> float:
     """c_n = kind.scale(int_0^oo T_1(k) E_{n-1}(k) dk): V_n = -(1/sqrt(pi)) times
-    the integral, W_n = (2/pi) times it, by the density rule of ``e_prev``'s
-    grid at ``kern.spec.node_count`` nodes per panel.
+    the integral, W_n = (2/pi) times it, by the density rule
+    (``integrate_halfline``) on ``e_prev``'s grid at ``kern.spec.node_count``
+    nodes per panel.
 
     This is exactly the residue-cancellation condition that keeps the next
     iterate finite at k = 0.
     """
-    quad = replace(default_density_quad(e_prev.grid.k_max), node_count=kern.spec.node_count)
-    return kind.scale(integrate_halfline(lambda k: kern.t_n(1, k) * e_prev(k), quad))
+    integral = integrate_halfline(lambda k: kern.t_n(1, k) * e_prev(k), e_prev.grid.k_max,
+                                  kern.spec.node_count)
+    return kind.scale(integral)
 
 
 def apply_operator(kind: SeriesKind, kern: KernelSuite, e_prev: SpectralDensity) -> SpectralDensity:
@@ -132,8 +116,8 @@ def apply_operator(kind: SeriesKind, kern: KernelSuite, e_prev: SpectralDensity)
         pole *= (weight(k1) * e_prev(k1))[:, None]
         return pole.T
 
-    quad = replace(default_density_quad(e_prev.grid.k_max), node_count=kern.spec.node_count)
-    integrals = (2.0 / SQRT_PI) * integrate_halfline(g, quad, left=left)
+    integrals = (2.0 / SQRT_PI) * integrate_halfline(g, e_prev.grid.k_max, kern.spec.node_count,
+                                                     left=left)
     values = kind.sign * integrals / (math.pi * kern.t_n(2, k))
     return SpectralDensity(e_prev.grid, values[1:], values[0])
 

@@ -16,11 +16,15 @@ consistent with the algebraic identities
 
 which the test suite pins at randomized arguments.
 
-Evaluation is by a fixed Gauss-Legendre rule with the exp(-t^2) weight folded
-into the weights; panels shrink geometrically toward t = 0 so the near-pole
-structure at t ~ 1/k stays resolved up to k of a few hundred.  All evaluators
-broadcast over numpy arrays in k and k1.  On that rule both iteration kernels
-are separable (A(k, t) = 1/(1 + k^2 t^2), wt_n = weights times t^n):
+Evaluation is by a fixed Gauss-Legendre rule, the t-rule, with the exp(-t^2)
+weight folded into the weights; panels shrink geometrically toward t = 0 so
+the near-pole structure at t ~ 1/k stays resolved up to k of a few hundred.
+The rule lives here, and this module imports no other module of the
+package; its one setting, ``QuadratureSpec.node_count``, also sets the
+k-grid and the density rule of a series build (``kramers.forward``).  All
+evaluators broadcast over numpy arrays in k and k1.  On that rule both
+iteration kernels are separable (A(k, t) = 1/(1 + k^2 t^2), wt_n = weights
+times t^n):
 
     S(k, k1)    = (2/sqrt(pi)) m(k1) sum_t L(k, t) A(k1, t)
     L_fwd(k, t) = wt_5 A(k, t) - sqrt(pi) T_3(k) wt_3,   m = k1^2
@@ -32,22 +36,102 @@ contract them, and the iteration operator sums over k1 before it applies L.
 from __future__ import annotations
 
 import math
+import numbers
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import QuadratureSpec, gauss_weighted_nodes
-
-__all__ = ["KernelSuite", "UnsupportedOrder", "SQRT_PI"]
+__all__ = ["KernelSuite", "UnsupportedOrder", "QuadratureSpec", "gauss_weighted_nodes", "SQRT_PI"]
 
 SQRT_PI = math.sqrt(math.pi)
 
 _ORDERS = (1, 2, 3, 4, 5)
 
-# geometric refinement toward t=0 keeps the rule accurate for large k
-_DEFAULT_SPEC = QuadratureSpec(
-    node_count=64,
-    split_points=(1.0 / 64, 1.0 / 16, 0.25, 1.0, 4.0),
-)
+# panel edges of the t-rule: geometric refinement toward t = 0 keeps it
+# accurate for large k, and exp(-t^2) < 3e-36 past t = 9
+_T_PANELS = (0.0, 1.0 / 64, 1.0 / 16, 0.25, 1.0, 4.0, 9.0)
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """The t-rule's one setting: ``node_count``, the Gauss-Legendre nodes
+    per panel, an integer >= 8."""
+
+    node_count: int = 64
+
+    def __post_init__(self):
+        if not isinstance(self.node_count, numbers.Integral) or self.node_count < 8:
+            raise ValueError(f"node_count must be an integer >= 8, got {self.node_count!r}")
+
+    def doubled(self) -> "QuadratureSpec":
+        """Same spec with twice the nodes per panel (self-convergence runs)."""
+        return QuadratureSpec(2 * self.node_count)
+
+
+def _legendre(n: int, theta: np.ndarray):
+    """P_n and x P_n - P_{n-1} at x = cos(theta), for theta in (0, pi/2].
+
+    The recurrence runs on 1 - x and on the differences P_j - P_{j-1}, so x
+    itself is never rounded; near x = 1 a rounded x would shift P_n by
+    about n^2/2 ulp.
+    """
+    y = 2.0 * np.sin(0.5 * theta) ** 2  # 1 - x
+    p, d = 1.0 - y, -y  # P_1 and P_1 - P_0
+    for j in range(2, n + 1):
+        d = ((j - 1) * d - (2 * j - 1) * y * p) / j
+        p = p + d
+    return p, d - y * p
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Newton's method on P_n(cos theta) from Tricomi's guesses finds the
+    nodes in [0, 1); the rest are their mirror images.  The weights
+    w = 2 sin^2(theta) / (n (x P_n - P_{n-1}))^2 keep 1 - x^2 exact near the
+    ends of the interval.
+    """
+    k = np.arange(1, (n + 1) // 2 + 1)
+    guess = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    theta = np.arccos(guess)
+    for _ in range(10):
+        p, dp = _legendre(n, theta)
+        step = p * np.sin(theta) / (n * dp)
+        theta = theta - step
+        if np.all(np.abs(step) <= np.finfo(float).eps * theta):
+            break
+    p, dp = _legendre(n, theta)
+    x = np.cos(theta)
+    w = 2.0 * (np.sin(theta) / (n * dp)) ** 2
+    if n % 2:
+        x[-1] = 0.0  # the middle node of an odd rule
+    half = n // 2
+    return np.concatenate((-x[:half], x[::-1])), np.concatenate((w[:half], w[::-1]))
+
+
+@lru_cache(maxsize=256)
+def _panel_rule(edges: tuple[float, ...], n: int):
+    """Concatenated Gauss-Legendre nodes/weights for consecutive panels."""
+    x0, w0 = _gauss_legendre(n)
+    xs, ws = [], []
+    for a, b in zip(edges, edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        xs.append(mid + half * x0)
+        ws.append(half * w0)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+def gauss_weighted_nodes(spec: QuadratureSpec):
+    """Fixed nodes ``t`` and weights ``w`` (Gauss weight folded in) so that
+    ``int_0^oo exp(-t^2) f(t) dt ~= w @ f(t)``, ``spec.node_count`` nodes on
+    each panel of the t-rule.
+
+    The kernel evaluators use the rule itself rather than a one-shot integral.
+    """
+    x, w = _panel_rule(_T_PANELS, spec.node_count)
+    return x, w * np.exp(-x * x)
 
 
 class UnsupportedOrder(Exception):
@@ -65,7 +149,7 @@ class KernelSuite:
     """
 
     def __init__(self, spec: QuadratureSpec | None = None):
-        self.spec = spec or _DEFAULT_SPEC
+        self.spec = spec or QuadratureSpec()
         t, w = gauss_weighted_nodes(self.spec)
         self._t2 = t * t
         # weights premultiplied by t^n for each supported moment

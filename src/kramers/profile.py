@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forward import build_series_fwd, default_density_quad
+from .forward import build_series_fwd
+from .kernels import QuadratureSpec
 from .quadrature import _finite, integrate_halfline
 from .series import ProblemConfig, SeriesExpansion, check_finite, finite_result, slip_velocity
 from .spectral import SpectralDensity, cosine_transform, weighted_sum
@@ -190,18 +191,19 @@ def boundary_distribution(density: SpectralDensity, mu_nodes) -> DistributionSli
 
     ``density`` is E(k), for example combined_density; the result depends
     on mu^2 only, so one slice serves both signs of mu.  All mu are the rows
-    of one row-valued integrate_halfline call under
-    ``default_density_quad(density.grid.k_max)``, each under the scalar
-    rule.  A scalar mu gives a float ``values``, an array of mu an array of
-    its shape.  A NaN or infinite mu raises ValueError, and a value that
-    overflows NumericalFailure.
+    of one row-valued integrate_halfline call on the density's grid, at the
+    default t-rule's nodes per panel, each under the scalar rule.  A scalar
+    mu gives a float ``values``, an array of mu an array of its shape.  A
+    NaN or infinite mu raises ValueError, and a value that overflows
+    NumericalFailure.
     """
     mu_nodes = np.asarray(mu_nodes, dtype=float)
     if not np.isfinite(mu_nodes).all():
         raise ValueError(f"mu must be finite, not NaN or inf, got {mu_nodes}")
-    mu, quad = mu_nodes.reshape(-1, 1), default_density_quad(density.grid.k_max)
+    mu = mu_nodes.reshape(-1, 1)
     with np.errstate(over="ignore"):
-        values = integrate_halfline(lambda k: density(k) / (1.0 + k * k * mu * mu), quad)
+        values = integrate_halfline(lambda k: density(k) / (1.0 + k * k * mu * mu),
+                                    density.grid.k_max, QuadratureSpec().node_count)
     values = _finite(values / math.pi)
     # a scalar mu gives its row's np.float64, a float whose complex division is numpy's
     return DistributionSlice(mu_nodes, values[0] if mu_nodes.ndim == 0 else

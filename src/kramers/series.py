@@ -13,10 +13,11 @@ numerics is a ``NumericalFailure``, and an inf or nan result is one.
 Nothing here needs an iterate, so the command line reads an order-0 series
 and checks its arguments from this module alone, before numpy is loaded;
 both containers are plain classes, not dataclasses, so that a cold run
-loads no ``dataclasses`` (which loads ``inspect``) either.
+loads no ``dataclasses`` (which loads ``inspect``) nor ``numbers`` either:
+a plain int or float is told apart by its type, and ``numbers`` is
+imported only for a value of another type.
 """
 import math
-import numbers
 
 __all__ = [
     "NumericalFailure",
@@ -32,6 +33,22 @@ __all__ = [
 
 # c_0 of each series kind: V_0 = sqrt(pi)/2, W_0 = 2/sqrt(pi)
 EXACT_C0 = {"forward": 0.5 * math.sqrt(math.pi), "inverse": 2.0 / math.sqrt(math.pi)}
+
+
+def _is_integer(value) -> bool:
+    """An int, or another numbers.Integral (a bool, a numpy integer)."""
+    if type(value) is int:
+        return True
+    import numbers
+    return isinstance(value, numbers.Integral)
+
+
+def _is_real(value) -> bool:
+    """An int or a float, or another numbers.Real (a Fraction, a numpy float)."""
+    if type(value) in (int, float):
+        return True
+    import numbers
+    return isinstance(value, numbers.Real)
 
 
 class NumericalFailure(Exception):
@@ -99,30 +116,43 @@ class SeriesExpansion(_Record):
         return len(self.coefficients) - 1
 
     def partial_sum(self, q: float, order: int | None = None) -> float:
-        """Sum of c_n q^n through the given integer order (default: all)."""
+        """Sum of c_n q^n through the given integer order (default: all).
+
+        Any finite q is accepted, also outside [0, 1]; a q that is NaN or
+        infinite is a ValueError, and a sum that overflows a NumericalFailure.
+        """
         last = self.order if order is None else order
-        if not isinstance(last, numbers.Integral) or not 0 <= last <= self.order:
+        if not _is_integer(last) or not 0 <= last <= self.order:
             raise ValueError(
                 f"order must be an integer in [0, {self.order}] (the built order), got {last!r}")
-        return float(sum(c * q**n for n, c in enumerate(self.coefficients[: last + 1])))
+        # not math.isfinite, which overflows on an int past the float range
+        if q != q or abs(q) == math.inf:
+            raise ValueError(f"q must be finite, got {q!r}")
+        try:
+            total = sum(c * q**n for n, c in enumerate(self.coefficients[: last + 1]))
+        except OverflowError:  # q**n past the largest float
+            total = math.inf
+        return finite_result(float(total))
 
 
 class ProblemConfig(_Record):
     """What a forward solve reads: the diffuseness ``q``, a number in [0, 1],
     the finite imposed velocity ``gradient`` and the integer truncation
-    ``order`` in [0, 12].  The resolution is the build's default: the
-    ``KernelSuite()`` t-rule, whose 64 nodes per panel set the build's
-    320-node ``SpectralGrid.geometric()`` and its density rule.
+    ``order`` in [0, 12].  The resolution is not a field: a build reads it
+    from its t-rule alone, whose n = 64 nodes per panel by default
+    (``kernels.QuadratureSpec``) set the 5 n = 320-node k-grid and the n
+    nodes per panel of the density rule; the density rule's panels and
+    tolerances are constants of ``kramers.quadrature``.
     """
 
     __slots__ = __match_args__ = ("q", "gradient", "order")
 
     def __init__(self, q: float = 1.0, gradient: float = 1.0, order: int = 3):
-        if not isinstance(q, numbers.Real) or not (0.0 <= q <= 1.0):
+        if not _is_real(q) or not (0.0 <= q <= 1.0):
             raise ValueError(f"q must lie in [0, 1], got {q!r}")
-        if not isinstance(order, numbers.Integral) or not (0 <= order <= 12):
+        if not _is_integer(order) or not (0 <= order <= 12):
             raise ValueError(f"order must be an integer in [0, 12], got {order!r}")
-        if not isinstance(gradient, numbers.Real) or not math.isfinite(gradient):
+        if not _is_real(gradient) or not math.isfinite(gradient):
             raise ValueError(f"gradient must be a finite number, got {gradient!r}")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "gradient", gradient)

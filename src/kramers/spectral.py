@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import TailDivergence, _finite, _gauss_legendre
+from .kernels import _gauss_legendre
+from .quadrature import TailDivergence, _finite
 # SeriesExpansion and ProblemConfig stay importable from here
 from .series import NumericalFailure, ProblemConfig, SeriesExpansion
 
@@ -68,11 +69,12 @@ class SpectralGrid:
         return float(self.nodes[-1])
 
     @classmethod
-    def geometric(cls, count: int = 320, k_min: float = 1e-3, k_max: float = 2000.0):
+    def geometric(cls, count: int = 320):
+        """``count`` geometric nodes on [1e-3, 2000]."""
         # k_max is generous because the densities decay only like k^-2 with
         # logarithmic corrections; truncating earlier costs ~1e-3 in the
         # velocity corrections
-        return cls(np.geomspace(k_min, k_max, count))
+        return cls(np.geomspace(1e-3, 2000.0, count))
 
 
 def _spline_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:

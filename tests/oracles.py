@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 
-from kramers.quadrature import _gauss_legendre
+from kramers.kernels import _gauss_legendre
 
 # Gauss-Legendre nodes per sub-panel and the widest phase k x a sub-panel spans:
 # the rule's relative error for cos at half-phase 8 is about 8^64/64! ~ 5e-32

@@ -267,7 +267,7 @@ TO_ARGPARSE = [(("--help",), 0),
                (("coeffs", "--ord", "0"), 0)]
 # the modules none of them loads; argparse loads only for the runs of
 # TO_ARGPARSE
-COLD_UNLOADED = ("numpy", "dataclasses", "inspect", "json", "argparse", "__future__")
+COLD_UNLOADED = ("numpy", "dataclasses", "inspect", "json", "argparse", "__future__", "numbers")
 
 # argvs whose parse the scan either declines or gets as argparse does: those
 # above, every other argv of this file, and the forms that argparse reads
@@ -368,6 +368,13 @@ class TestImport:
         assert self.cold_runs(TO_ARGPARSE) == [
             [str(code), *(str(m == "argparse") for m in COLD_UNLOADED)]
             for _, code in TO_ARGPARSE]
+
+    def test_kernels_stand_alone(self):
+        """``import kramers.kernels`` loads the package and that module, and no
+        other module of the package."""
+        out = cold_python("import sys, kramers.kernels\n"
+                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'kramers'))\n")
+        assert out.strip() == "['kramers', 'kramers.kernels']"
 
     def test_exports(self):
         """Each name of __all__ is its module's own object and is listed by

@@ -10,7 +10,6 @@ from kramers.forward import (
     DiffuseLimitSingular,
     apply_operator,
     coefficient,
-    default_density_quad,
     first_iterate,
     slip_velocity,
 )
@@ -85,28 +84,28 @@ class TestOperator:
     def test_raw_route_equivalence(self, kern, grid, forward3):
         """The S-kernel step must equal the raw resolvent route, where the
         coefficient condition is applied explicitly before dividing by L(k)."""
-        quad = default_density_quad(grid.k_max)
+        quad = (grid.k_max, 64)  # k_max and nodes per panel of the density rule
         e0 = forward3[1][0]
         e1 = forward3[1][1]
         v1 = coefficient(FORWARD, kern, e0)
         rng = np.random.default_rng(99)
         for k in rng.uniform(0.05, 8.0, 10):
             raw = -v1 * kern.t_n(1, k) - integrate_halfline(
-                lambda k1: kern.j_kernel(k, k1) * e0(k1), quad
+                lambda k1: kern.j_kernel(k, k1) * e0(k1), *quad
             ) / math.pi
             assert raw / kern.big_l(k) == pytest.approx(e1(k), abs=1e-7)
 
     def test_batched_matches_per_node(self, kern, grid, forward3):
         """The row-valued apply equals one scalar integral per k-value."""
-        quad = default_density_quad(grid.k_max)
+        quad = (grid.k_max, 64)  # k_max and nodes per panel of the density rule
         e0, e1 = forward3[1][0], forward3[1][1]
-        at_zero = -integrate_halfline(lambda k1: kern.s_fwd(0.0, k1) * e0(k1), quad) * (
+        at_zero = -integrate_halfline(lambda k1: kern.s_fwd(0.0, k1) * e0(k1), *quad) * (
             2.0 / math.pi
         )
         assert e1.value_at_zero == pytest.approx(at_zero, abs=1e-13)
         for i in np.linspace(0, grid.nodes.size - 1, 9).astype(int):
             k = grid.nodes[i]
-            node = -integrate_halfline(lambda k1: kern.s_fwd(k, k1) * e0(k1), quad) / (
+            node = -integrate_halfline(lambda k1: kern.s_fwd(k, k1) * e0(k1), *quad) / (
                 math.pi * kern.t_n(2, k)
             )
             assert e1.values[i] == pytest.approx(node, abs=1e-13)

@@ -9,7 +9,6 @@ from kramers.forward import (
     INVERSE,
     apply_operator,
     coefficient,
-    default_density_quad,
     first_iterate,
     gradient,
     slip_velocity,
@@ -60,15 +59,15 @@ class TestOperator:
 
     def test_batched_matches_per_node(self, kern, grid, inverse3):
         """The row-valued apply equals one scalar integral per k-value."""
-        quad = default_density_quad(grid.k_max)
+        quad = (grid.k_max, 64)  # k_max and nodes per panel of the density rule
         e0, e1 = inverse3[1][0], inverse3[1][1]
-        at_zero = integrate_halfline(lambda k1: kern.s_inv(0.0, k1) * e0(k1), quad) * (
+        at_zero = integrate_halfline(lambda k1: kern.s_inv(0.0, k1) * e0(k1), *quad) * (
             2.0 / math.pi
         )
         assert e1.value_at_zero == pytest.approx(at_zero, abs=1e-13)
         for i in np.linspace(0, grid.nodes.size - 1, 9).astype(int):
             k = grid.nodes[i]
-            node = integrate_halfline(lambda k1: kern.s_inv(k, k1) * e0(k1), quad) / (
+            node = integrate_halfline(lambda k1: kern.s_inv(k, k1) * e0(k1), *quad) / (
                 math.pi * kern.t_n(2, k)
             )
             assert e1.values[i] == pytest.approx(node, abs=1e-13)

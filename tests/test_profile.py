@@ -6,7 +6,7 @@ import pytest
 from oracles import ado_kramers, cosine_oracle
 
 from kramers.cli import main
-from kramers.forward import build_series_fwd, default_density_quad, slip_velocity
+from kramers.forward import build_series_fwd, slip_velocity
 from kramers.profile import (
     EXACT_SLIP_DIFFUSE,
     EXACT_WALL_DIFFUSE,
@@ -44,9 +44,9 @@ class TestCorrection:
 
     def test_x_zero_consistency(self, forward3, grid):
         """At x = 0 the cosine transform degenerates to the plain integral."""
-        quad = default_density_quad(grid.k_max)
+        quad = (grid.k_max, 64)  # k_max and nodes per panel of the density rule
         direct = sum(
-            (1.0 / math.pi) * integrate_halfline(e_n, quad) for e_n in forward3[1]
+            (1.0 / math.pi) * integrate_halfline(e_n, *quad) for e_n in forward3[1]
         )
         assert velocity_correction(forward3[1], 1.0, 1.0, 0.0) == pytest.approx(
             direct, abs=1e-8
@@ -75,9 +75,9 @@ class TestBatched:
         density = combined_density(forward3[1], 0.7, 1.0)
         mu = np.array([0.0, 0.1, 0.5, 1.0, 3.0])
         got = boundary_distribution(density, mu).values
-        quad = default_density_quad(density.grid.k_max)
+        quad = (density.grid.k_max, 64)  # k_max and nodes per panel of the density rule
         per_mu = [
-            integrate_halfline(lambda k: density(k) / (1.0 + k * k * m * m), quad) / math.pi
+            integrate_halfline(lambda k: density(k) / (1.0 + k * k * m * m), *quad) / math.pi
             for m in mu
         ]
         assert got.shape == mu.shape

@@ -1,33 +1,29 @@
 """Quadrature rules and the exact cosine transform against closed forms and
-brute-force Gauss-Legendre, Riemann and Simpson sums."""
+brute-force Gauss-Legendre, Riemann and Simpson sums: the t-rule of
+``kramers.kernels`` and the density half-line rule of ``kramers.quadrature``."""
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import cosine_oracle, cosine_oracle_tail
 
-from kramers import quadrature, spectral
+from kramers import kernels, spectral
+from kramers.kernels import QuadratureSpec, gauss_weighted_nodes
 from kramers.quadrature import (
     NonFiniteIntegrand,
-    QuadratureSpec,
     TailDivergence,
     _tail_estimate,
-    gauss_weighted_nodes,
     integrate_halfline,
 )
-from kramers.forward import default_density_quad
 from kramers.spectral import SpectralDensity, SpectralGrid, cosine_transform, weighted_sum
 
 SQRT_PI = math.sqrt(math.pi)
 
-WEIGHTED = QuadratureSpec(
-    node_count=64,
-    rel_tol=1e-12,
-    abs_tol=1e-14,
-    split_points=(1.0 / 64, 1.0 / 16, 0.25, 1.0, 4.0),
-)
-HALFLINE = QuadratureSpec(node_count=64, rel_tol=1e-10, abs_tol=1e-13)
+# the default t-rule, 64 nodes on each of its six panels (384 nodes)
+WEIGHTED = QuadratureSpec()
+# a half-line rule at 64 nodes per panel whose last panel ends at k_max = 64:
+# panel edges 0, 1, 4, 16, 64, 256, 1024 and 4096, the tail fit on [1024, 4096]
+HALFLINE = {"k_max": 64.0, "node_count": 64}
 
 # mpmath, 30 digits: integral_0^inf exp(-t^2) t/(1+t^2) dt
 I_T_OVER_1PT2 = 0.298173681161597
@@ -40,11 +36,23 @@ def weighted_integral(f, spec=WEIGHTED):
 
 
 class TestGaussWeighted:
+    """The moments sum w = sqrt(pi)/2, sum w t = 1/2 and sum w t^2 = sqrt(pi)/4
+    are hard-coded in EXACT_C0 and SeriesKind.e0_at_zero; the default and the
+    doubled rule hold them to 4.4e-16 (a 48-node rule misses by 6.1e-8)."""
+
+    @pytest.mark.parametrize("spec", [WEIGHTED, WEIGHTED.doubled()], ids=["384", "768"])
+    def test_t(self, spec):
+        assert weighted_integral(lambda t: t, spec) == pytest.approx(0.5, rel=0.0, abs=1e-15)
+
     def test_constant(self):
-        assert weighted_integral(np.ones_like) == pytest.approx(SQRT_PI / 2, abs=1e-13)
+        for spec in (WEIGHTED, WEIGHTED.doubled()):
+            got = weighted_integral(np.ones_like, spec)
+            assert got == pytest.approx(SQRT_PI / 2, rel=0.0, abs=1e-15)
 
     def test_t_squared(self):
-        assert weighted_integral(lambda t: t * t) == pytest.approx(SQRT_PI / 4, abs=1e-13)
+        for spec in (WEIGHTED, WEIGHTED.doubled()):
+            got = weighted_integral(lambda t: t * t, spec)
+            assert got == pytest.approx(SQRT_PI / 4, rel=0.0, abs=1e-15)
 
     def test_rational_moment(self):
         got = weighted_integral(lambda t: t / (1.0 + t * t))
@@ -54,43 +62,47 @@ class TestGaussWeighted:
         f = lambda t: t / (1.0 + t * t)
         a = weighted_integral(f)
         b = weighted_integral(f, WEIGHTED.doubled())
-        assert abs(a - b) <= 10 * WEIGHTED.rel_tol * abs(a) + WEIGHTED.abs_tol
+        assert abs(a - b) <= 1e-11 * abs(a) + 1e-14
 
 
 class TestHalfline:
     def test_lorentzian(self):
-        got = integrate_halfline(lambda k: 1.0 / (1.0 + k * k), HALFLINE)
+        got = integrate_halfline(lambda k: 1.0 / (1.0 + k * k), **HALFLINE)
         assert got == pytest.approx(math.pi / 2, abs=1e-9)
 
     def test_lorentzian_squared(self):
-        got = integrate_halfline(lambda k: 1.0 / (1.0 + k * k) ** 2, HALFLINE)
+        got = integrate_halfline(lambda k: 1.0 / (1.0 + k * k) ** 2, **HALFLINE)
         assert got == pytest.approx(math.pi / 4, abs=1e-9)
 
     def test_exponential(self):
-        got = integrate_halfline(lambda k: np.exp(-k), HALFLINE)
+        got = integrate_halfline(lambda k: np.exp(-k), **HALFLINE)
         assert got == pytest.approx(1.0, abs=1e-9)
 
     def test_tail_divergence_detected(self):
         with pytest.raises(TailDivergence):
-            integrate_halfline(lambda k: 1.0 / (1.0 + k), HALFLINE)
+            integrate_halfline(lambda k: 1.0 / (1.0 + k), **HALFLINE)
 
     def test_nonfinite_integrand(self):
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntegrand):
-            integrate_halfline(lambda k: np.sqrt(k - 100.0), HALFLINE)
+            integrate_halfline(lambda k: np.sqrt(k - 100.0), **HALFLINE)
+
+    @pytest.mark.parametrize("k_max", [0.0, -1.0, math.inf, math.nan])
+    def test_k_max_positive_and_finite(self, k_max):
+        with pytest.raises(ValueError, match="k_max"):
+            integrate_halfline(lambda k: 1.0 / (1.0 + k * k), k_max, 64)
 
     def test_small_value_large_tail_kept(self):
-        """|g(b)| = 6e-12 is below abs_tol at b = 1.28e5, but the fitted tail
-        b |g(b)| / (p - 1) = 7.8e-7 is not, so it counts."""
-        got = integrate_halfline(lambda k: 0.1 / (1.0 + k) ** 2, default_density_quad(2000.0))
+        """|g(b)| = 6e-12 is below the 1e-11 tail threshold at b = 1.28e5, but
+        the fitted tail b |g(b)| / (p - 1) = 7.8e-7 is not, so it counts."""
+        got = integrate_halfline(lambda k: 0.1 / (1.0 + k) ** 2, 2000.0, 64)
         assert got == pytest.approx(0.1, abs=1e-9)
 
     def test_tail_compared_with_abs_tol(self):
         """The fitted tail, not the last value, decides whether it is dropped."""
-        spec = default_density_quad(2000.0)
         a, b = 3.2e4, 1.28e5
-        # fitted tails 7.8e-13 and 7.8e-11 around abs_tol = 1e-11
-        assert _tail_estimate(lambda k: 1e-7 / (1.0 + k) ** 2, a, b, spec) == 0.0
-        kept = _tail_estimate(lambda k: 1e-5 / (1.0 + k) ** 2, a, b, spec)
+        # fitted tails 7.8e-13 and 7.8e-11 around the threshold 1e-11
+        assert _tail_estimate(lambda k: 1e-7 / (1.0 + k) ** 2, a, b) == 0.0
+        kept = _tail_estimate(lambda k: 1e-5 / (1.0 + k) ** 2, a, b)
         assert kept == pytest.approx(1e-5 / b, rel=1e-4)
 
     def test_linearity(self):
@@ -99,18 +111,19 @@ class TestHalfline:
         h = lambda k: np.exp(-k)
         for _ in range(5):
             a, b = rng.uniform(-10, 10, size=2)
-            combo = integrate_halfline(lambda k: a * f(k) + b * h(k), HALFLINE)
-            parts = a * integrate_halfline(f, HALFLINE) + b * integrate_halfline(h, HALFLINE)
+            combo = integrate_halfline(lambda k: a * f(k) + b * h(k), **HALFLINE)
+            parts = a * integrate_halfline(f, **HALFLINE) + b * integrate_halfline(h, **HALFLINE)
             assert combo == pytest.approx(parts, abs=1e-8 * (1 + abs(a) + abs(b)))
 
 
 # integrands for the row-valued tests: smooth ones accepted at the first
 # doubling, two peaks accepted at the second and the third, and a row whose tail changes sign
-# between the two fit points of the HALFLINE extension panels
+# between the two fit points of the HALFLINE extension panels; the first peak
+# is sharp enough that it also holds LEFT's second row to the second doubling
 ROWS = (
     lambda k: np.exp(-k),
     lambda k: 1.0 / (1.0 + k * k),
-    lambda k: 1.0 / (1.0 + (5.0 * (k - 2.3)) ** 2),
+    lambda k: 1.0 / (1.0 + (7.0 * (k - 2.3)) ** 2),
     lambda k: 1.0 / (1.0 + (10.0 * (k - 2.3)) ** 2),
     lambda k: (1.0 - k / 2000.0) / (1.0 + k * k),
 )
@@ -122,7 +135,7 @@ def _stacked(rows):
 
 class TestRowValued:
     def test_matches_scalar_calls(self):
-        got = integrate_halfline(_stacked(ROWS), HALFLINE)
+        got = integrate_halfline(_stacked(ROWS), **HALFLINE)
         assert got.shape == (len(ROWS),)
         calls = []
         for i, g in enumerate(ROWS):
@@ -132,35 +145,34 @@ class TestRowValued:
                 count[0] += 1
                 return g(k)
 
-            alone = integrate_halfline(counted, HALFLINE)
+            alone = integrate_halfline(counted, **HALFLINE)
             assert got[i] == pytest.approx(alone, rel=1e-15, abs=0.0)
             calls.append(count[0])
         # one call per node-doubling round plus one for the tail fit
         assert sorted(set(calls)) == [3, 4, 5]
 
     def test_sign_change_row_has_zero_tail(self):
-        last = HALFLINE.split_points[-1]
-        a, b = 16.0 * last, 64.0 * last
+        a, b = 16.0 * HALFLINE["k_max"], 64.0 * HALFLINE["k_max"]
         g = ROWS[-1]
         assert g(a) > 0 > g(b)
-        tails = _tail_estimate(_stacked(ROWS), a, b, HALFLINE)
+        tails = _tail_estimate(_stacked(ROWS), a, b)
         assert tails[-1] == 0.0
-        alone = _tail_estimate(ROWS[1], a, b, HALFLINE)
+        alone = _tail_estimate(ROWS[1], a, b)
         assert tails[1] == pytest.approx(alone, rel=1e-15, abs=0.0)
         assert tails[1] > 0
 
     def test_scalar_result_is_float(self):
-        assert type(integrate_halfline(ROWS[1], HALFLINE)) is float
+        assert type(integrate_halfline(ROWS[1], **HALFLINE)) is float
 
     def test_single_nonfinite_row(self):
         rows = (ROWS[1], lambda k: np.sqrt(k - 100.0))
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntegrand):
-            integrate_halfline(_stacked(rows), HALFLINE)
+            integrate_halfline(_stacked(rows), **HALFLINE)
 
     def test_single_divergent_row(self):
         rows = (ROWS[1], lambda k: 1.0 / (1.0 + k))
         with pytest.raises(TailDivergence):
-            integrate_halfline(_stacked(rows), HALFLINE)
+            integrate_halfline(_stacked(rows), **HALFLINE)
 
 
 # a left matrix with the ROWS as factor values: its rows are accepted at the
@@ -176,9 +188,9 @@ LEFT = np.array([
 
 class TestLeftMatrix:
     def test_matches_rows_of_the_product(self):
-        got = integrate_halfline(_stacked(ROWS), HALFLINE, left=LEFT)
+        got = integrate_halfline(_stacked(ROWS), **HALFLINE, left=LEFT)
         assert got.shape == (len(LEFT),)
-        product = integrate_halfline(lambda k: LEFT @ _stacked(ROWS)(k), HALFLINE)
+        product = integrate_halfline(lambda k: LEFT @ _stacked(ROWS)(k), **HALFLINE)
         calls = []
         for i, row in enumerate(LEFT):
             assert got[i] == pytest.approx(product[i], rel=1e-15, abs=0.0)
@@ -188,20 +200,19 @@ class TestLeftMatrix:
                 count[0] += 1
                 return row @ _stacked(ROWS)(k)
 
-            alone = integrate_halfline(counted, HALFLINE)
+            alone = integrate_halfline(counted, **HALFLINE)
             assert got[i] == pytest.approx(alone, rel=1e-15, abs=0.0)
             calls.append(count[0])
         # one call per node-doubling round plus one for the tail fit
         assert sorted(set(calls)) == [3, 4, 5]
 
     def test_sign_change_row_has_zero_tail(self):
-        last = HALFLINE.split_points[-1]
-        a, b = 16.0 * last, 64.0 * last
+        a, b = 16.0 * HALFLINE["k_max"], 64.0 * HALFLINE["k_max"]
         row = LEFT[-1] @ _stacked(ROWS)(np.array([a, b]))
         assert row[0] > 0 > row[1]
-        tails = _tail_estimate(_stacked(ROWS), a, b, HALFLINE, left=LEFT)
+        tails = _tail_estimate(_stacked(ROWS), a, b, left=LEFT)
         assert tails[-1] == 0.0
-        product = _tail_estimate(lambda k: LEFT @ _stacked(ROWS)(k), a, b, HALFLINE)
+        product = _tail_estimate(lambda k: LEFT @ _stacked(ROWS)(k), a, b)
         assert tails == pytest.approx(product, rel=1e-15, abs=0.0)
         assert np.all(tails[:-1] > 0)
 
@@ -209,13 +220,13 @@ class TestLeftMatrix:
         factors = _stacked((ROWS[1], lambda k: np.sqrt(k - 100.0)))
         left = np.array([[1.0, 0.0], [0.5, 1.0]])
         with np.errstate(invalid="ignore"), pytest.raises(NonFiniteIntegrand):
-            integrate_halfline(factors, HALFLINE, left=left)
+            integrate_halfline(factors, **HALFLINE, left=left)
 
     def test_single_divergent_row(self):
         factors = _stacked((ROWS[1], lambda k: 1.0 / (1.0 + k)))
-        assert integrate_halfline(factors, HALFLINE, left=np.array([[1.0, 0.0]]))[0] > 0
+        assert integrate_halfline(factors, **HALFLINE, left=np.array([[1.0, 0.0]]))[0] > 0
         with pytest.raises(TailDivergence):
-            integrate_halfline(factors, HALFLINE, left=np.array([[1.0, 0.0], [0.5, 1.0]]))
+            integrate_halfline(factors, **HALFLINE, left=np.array([[1.0, 0.0], [0.5, 1.0]]))
 
 
 # x = 0, x on both sides of the tail series start K x = 40 (x = 0.02) and of
@@ -360,8 +371,7 @@ class TestFourierCos:
         """At x = 0 the transform is the plain integral of each stored density
         (the half-line rule fits each power-law tail exactly only on its own);
         at 64 nodes per panel the rule itself is 5e-11 off, at 256 2e-13."""
-        quad = replace(default_density_quad(combined.grid.k_max), node_count=256)
-        halfline = [integrate_halfline(d, quad) for d in forward3[1]]
+        halfline = [integrate_halfline(d, combined.grid.k_max, 256) for d in forward3[1]]
         assert cosine_transform(combined, 0.0) == pytest.approx(
             np.dot(WEIGHTS, halfline), rel=0.0, abs=1e-11)
 
@@ -406,7 +416,7 @@ GAUSS_LEGENDRE_MPMATH = {
 class TestGaussLegendre:
     @pytest.mark.parametrize("n", sorted(GAUSS_LEGENDRE_MPMATH))
     def test_frozen_mpmath_values(self, n):
-        x, w = quadrature._gauss_legendre(n)
+        x, w = kernels._gauss_legendre(n)
         assert x.shape == w.shape == (n,)
         assert np.all(np.diff(x) > 0)
         assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
@@ -417,13 +427,13 @@ class TestGaussLegendre:
 
     @pytest.mark.parametrize("n", [8, 9, 33, 64])
     def test_exact_to_degree_2n_minus_1(self, n):
-        x, w = quadrature._gauss_legendre(n)
+        x, w = kernels._gauss_legendre(n)
         for degree in range(2 * n):
             exact = 2.0 / (degree + 1) if degree % 2 == 0 else 0.0
             assert w @ x**degree == pytest.approx(exact, rel=1e-14, abs=1e-15)
 
     def test_odd_rule_has_zero_node(self):
-        x, _ = quadrature._gauss_legendre(9)
+        x, _ = kernels._gauss_legendre(9)
         assert x[4] == 0.0
 
 
@@ -436,17 +446,7 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             QuadratureSpec(node_count=8.5)
 
-    def test_bad_split_points(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(split_points=(4.0, 1.0))
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_split_point(self, bad):
-        with pytest.raises(ValueError):
-            QuadratureSpec(split_points=(1.0, bad))
-
     def test_doubled(self):
-        spec = HALFLINE.doubled()
-        assert spec.node_count == 2 * HALFLINE.node_count
-        assert spec.doubled() == QuadratureSpec(4 * HALFLINE.node_count, HALFLINE.rel_tol,
-                                                HALFLINE.abs_tol, HALFLINE.split_points)
+        spec = WEIGHTED.doubled()
+        assert spec.node_count == 2 * WEIGHTED.node_count
+        assert spec.doubled() == QuadratureSpec(4 * WEIGHTED.node_count)

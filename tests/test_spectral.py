@@ -4,6 +4,7 @@ import inspect
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,10 +23,10 @@ from kramers.spectral import (
 
 class TestGrid:
     def test_geometric_shape(self):
-        grid = SpectralGrid.geometric(count=100, k_min=1e-3, k_max=500.0)
+        grid = SpectralGrid.geometric(count=100)
         assert grid.nodes.size == 100
         assert grid.nodes[0] == pytest.approx(1e-3)
-        assert grid.k_max == pytest.approx(500.0)
+        assert grid.k_max == pytest.approx(2000.0)
         ratios = grid.nodes[1:] / grid.nodes[:-1]
         assert np.allclose(ratios, ratios[0])
 
@@ -50,7 +51,7 @@ class TestGrid:
 
 @pytest.fixture(scope="module")
 def grid():
-    return SpectralGrid.geometric(count=200, k_min=1e-3, k_max=100.0)
+    return SpectralGrid(np.geomspace(1e-3, 100.0, 200))
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +175,7 @@ class TestWeightedSum:
             assert alone.tails == density.tails
 
     def test_rejects_mixed_grids(self, lorentz):
-        other = SpectralGrid.geometric(count=64, k_max=100.0)
+        other = SpectralGrid(np.geomspace(1e-3, 100.0, 64))
         with pytest.raises(ValueError, match="one grid"):
             weighted_sum([lorentz, SpectralDensity(other, np.ones(64), value_at_zero=1.0)],
                          [1.0, 1.0])
@@ -209,6 +210,37 @@ class TestSeries:
             with pytest.raises(ValueError, match="integer"):
                 s.partial_sum(1.0, order)
         assert s.partial_sum(1.0, np.int64(1)) == 3.0
+        assert s.partial_sum(1.0, True) == 3.0
+
+    def test_partial_sum_numeric_types(self):
+        """A bool, numpy or Fraction q sums as the equal float does."""
+        s = SeriesExpansion("forward", (1.0, -0.5, 0.25))
+        assert s.partial_sum(Fraction(1, 2)) == s.partial_sum(0.5)
+        assert s.partial_sum(np.float32(0.5)) == s.partial_sum(0.5)
+        assert s.partial_sum(True) == s.partial_sum(1.0)
+        with pytest.raises(TypeError):
+            s.partial_sum("0.5")
+
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_partial_sum_rejects_non_finite_q(self, q):
+        """A NaN or infinite q used to give nan or -inf silently."""
+        s = SeriesExpansion("forward", (1.0, 2.0, 4.0))
+        with pytest.raises(ValueError, match="finite"):
+            s.partial_sum(q)
+
+    @pytest.mark.parametrize("q", [1e200, -1e200, 10**400])
+    def test_partial_sum_overflow(self, q):
+        """q**2 past the largest float used to raise a bare OverflowError."""
+        s = SeriesExpansion("forward", (1.0, 2.0, 4.0))
+        with pytest.raises(NumericalFailure, match="overflow"):
+            s.partial_sum(q)
+        assert s.partial_sum(q, 0) == 1.0
+
+    def test_partial_sum_finite_q_outside_the_unit_interval(self):
+        """Any finite q is summed, so that V(q) can be read at negative q."""
+        s = SeriesExpansion("forward", (1.0, 2.0, 4.0))
+        assert s.partial_sum(-4.0) == 1.0 - 8.0 + 64.0
+        assert s.partial_sum(3.0, 1) == 7.0
 
     def test_finite_result(self):
         assert finite_result(-2.5) == -2.5
@@ -297,6 +329,17 @@ class TestProblemConfig:
         for bad in (None, "0.5"):
             with pytest.raises(ValueError):
                 ProblemConfig(q=bad)
+
+    def test_numeric_types(self):
+        """A bool, numpy or Fraction value is accepted where its number is,
+        and a string is not."""
+        cfg = ProblemConfig(q=Fraction(1, 2), gradient=np.float32(2.0), order=True)
+        assert (cfg.q, cfg.gradient, cfg.order) == (0.5, 2.0, 1)
+        assert ProblemConfig(q=True, gradient=Fraction(3, 2), order=np.int64(0)).q == 1.0
+        with pytest.raises(ValueError):
+            ProblemConfig(gradient="1.0")
+        with pytest.raises(ValueError):
+            ProblemConfig(order="2")
 
     def test_order_cap(self):
         with pytest.raises(ValueError):
